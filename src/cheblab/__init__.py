@@ -45,6 +45,7 @@ from .dihedral import (
 from .sieve import (
     PrimeRange,
     iterate_primes,
+    odd_primes_below,
     prime_chunks,
     prime_count,
     primes_in_ap_count,
@@ -82,6 +83,7 @@ __all__ = [
     "li_ratio_to_asymptote",
     "main_term",
     "min_split_prime",
+    "odd_primes_below",
     "pi_D_cyclotomic",
     "pi_D_dihedral",
     "prime_chunks",

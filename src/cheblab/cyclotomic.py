@@ -4,6 +4,11 @@ For q = 2n = 2^(r+1) the Galois group is (Z/qZ)* of order n, the Frobenius
 of an odd prime p is p mod q, and D collects the odd residues whose
 progression contains no prime below T = n * log(n)^alpha.  By construction
 pi_D(T) = 0 while |D| >= n - pi(T), so |D| ~ n.
+
+Both the builder and the counter read the odd primes below their bound
+from the shared table in sieve.odd_primes_below and map each prime to
+its residue index in one vectorised step.  D is stored only as a bitmap
+of n bytes; the table costs 8 bytes per prime below the largest bound.
 """
 
 from __future__ import annotations
@@ -14,11 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sieve
-
-
-def _validate_n(n: int) -> None:
-    if n < 4 or n & (n - 1):
-        raise ValueError(f"n must be a power of two with n >= 4, got {n}")
+from .dihedral import _validate_n
 
 
 @dataclass(frozen=True, eq=False)
@@ -26,7 +27,7 @@ class CyclotomicInstance:
     """One built family member: modulus, threshold and the residue set D.
 
     mask is a bitmap over odd residues indexed by (d - 1) / 2 for O(1)
-    membership; residues is the same set as a sorted array.
+    membership; residues derives the same set from it as a sorted array.
     """
 
     r: int
@@ -34,13 +35,16 @@ class CyclotomicInstance:
     q: int                      # modulus 2n = 2^(r+1)
     alpha: float
     T: float                    # n * log(n)^alpha
-    residues: np.ndarray
     mask: np.ndarray
     M: int = 2
 
     @property
+    def residues(self) -> np.ndarray:
+        return 2 * np.flatnonzero(self.mask) + 1
+
+    @property
     def D_size(self) -> int:
-        return int(self.residues.size)
+        return int(np.count_nonzero(self.mask))
 
     def contains(self, d: int) -> bool:
         """Membership of the residue d in D."""
@@ -71,27 +75,17 @@ def build_D(n: int, alpha: float) -> CyclotomicInstance:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     q = 2 * n
     T = n * math.log(n) ** alpha
-    hit = np.zeros(n, dtype=bool)
-    for chunk in sieve.prime_chunks(3, math.ceil(T)):
-        hit[(chunk % q) >> 1] = True
-    mask = ~hit
-    residues = (2 * np.flatnonzero(mask) + 1).astype(np.int64)
+    mask = np.ones(n, dtype=bool)
+    mask[(sieve.odd_primes_below(T) % q) >> 1] = False
     return CyclotomicInstance(
-        r=n.bit_length() - 1, n=n, q=q, alpha=alpha, T=T,
-        residues=residues, mask=mask,
+        r=n.bit_length() - 1, n=n, q=q, alpha=alpha, T=T, mask=mask,
     )
 
 
 def pi_D_cyclotomic(inst: CyclotomicInstance, x: float) -> int:
     """Number of odd primes p < x with p mod q in D; 2 is excluded."""
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    if x <= 3:
-        return 0
-    count = 0
-    for chunk in sieve.prime_chunks(3, math.ceil(x)):
-        count += int(np.count_nonzero(inst.mask[(chunk % inst.q) >> 1]))
-    return count
+    primes = sieve.odd_primes_below(x)
+    return int(np.count_nonzero(inst.mask[(primes % inst.q) >> 1]))
 
 
 def density_ratio(inst: CyclotomicInstance) -> float:

@@ -4,15 +4,16 @@ The field under study has dihedral Galois group of order n = 2^r, ramified
 only at 2, and an odd prime splits completely exactly when it is
 represented by the quadratic form a^2 + n^2 b^2.  No odd prime below n^2
 is of that form, which makes pi_D vanish on [0, n^2] while the main term
-li(n^2) / n grows like n / (2 log n).
+li(n^2) / n grows like n / (2 log n).  Both the split-prime count and the
+least split prime enumerate the values of the form and test each one
+with a deterministic Miller-Rabin test.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-from . import sieve
+from typing import Iterator
 
 SEARCH_CEILING_FACTOR = 64      # default min_split_prime scan bound, in units of n^2
 MAX_BRUTEFORCE_ORDER = 4096
@@ -97,43 +98,60 @@ def _is_prime(m: int) -> bool:
     return True
 
 
+def _form_values(n: int, top: int) -> Iterator[int]:
+    """The values a^2 + n^2 b^2 <= top with a odd and b >= 1.
+
+    They come b by b, and within each b in increasing order of a.  The
+    split primes are exactly the primes among them, each of which occurs
+    once, since a prime is a sum of two squares in at most one way.
+    """
+    b = 1
+    while (nb2 := n * n * b * b) < top:
+        for a in range(1, math.isqrt(top - nb2) + 1, 2):
+            yield a * a + nb2
+        b += 1
+
+
+def _check_exact(x: float) -> None:
+    if not x <= MILLER_RABIN_BOUND:
+        raise ValueError(
+            f"x must not exceed {MILLER_RABIN_BOUND}, the bound of the "
+            f"deterministic primality test, got {x}")
+
+
 def pi_D_dihedral(n: int, x: float) -> int:
     """Number of odd primes p < x that split totally; 2 is excluded.
 
-    Enumerates p = a^2 + n^2 b^2 with a odd and b >= 1 and tests each
-    candidate for primality.  A prime is a sum of two squares in at most
-    one way, so every split prime is counted exactly once.  There are about
-    pi x / (8 n) candidates, against one predicate test per prime below x.
+    Tests each value of the form below x for primality.  There are about
+    pi x / (8 n) of them, against one predicate test per prime below x.
     """
     _validate_n(n)
     if x < 0:
         raise ValueError("x must be nonnegative")
     if x <= 3:
         return 0
-    if not x <= MILLER_RABIN_BOUND:
-        raise ValueError(
-            f"x must not exceed {MILLER_RABIN_BOUND}, the bound of the "
-            f"deterministic primality test, got {x}")
+    _check_exact(x)
     top = math.ceil(x) - 1          # p < x exactly when p <= top
-    count = 0
-    b = 1
-    while (nb2 := n * n * b * b) < top:
-        for a in range(1, math.isqrt(top - nb2) + 1, 2):
-            if _is_prime(a * a + nb2):
-                count += 1
-        b += 1
-    return count
+    return sum(1 for v in _form_values(n, top) if _is_prime(v))
 
 
 def min_split_prime(n: int, ceiling: int | None = None) -> int:
-    """Smallest totally split prime; always > n^2 for this family."""
+    """Smallest totally split prime below ceiling; always > n^2 here.
+
+    Every form value with b >= 2 is at least 4 n^2, so the first prime
+    among a^2 + n^2 with a odd and a^2 + n^2 < 4 n^2 is the least one.
+    Only if that row has none are all form values below ceiling searched.
+    """
     _validate_n(n)
     if ceiling is None:
         ceiling = SEARCH_CEILING_FACTOR * n * n
-    for chunk in sieve.prime_chunks(3, ceiling):
-        for p in chunk.tolist():
-            if is_totally_split(p, n):
-                return p
+    _check_exact(ceiling - 1)
+    for v in _form_values(n, min(ceiling, 4 * n * n) - 1):
+        if _is_prime(v):
+            return v
+    found = [v for v in _form_values(n, ceiling - 1) if _is_prime(v)]
+    if found:
+        return min(found)
     raise SearchLimitExceeded(
         f"no totally split prime below {ceiling} for n={n}"
     )

@@ -4,12 +4,19 @@ Flags carry one bit per odd integer; the prime 2 is reintroduced by the
 query layer.  Every segment is sieved against all base primes below
 sqrt(hi), so any segmentation of the same interval produces identical
 flag bytes.
+
+Callers that need the primes themselves read them from one per-process
+table (odd_primes_below).  The table only grows, one aligned segment
+[k * 2 * SEGMENT_ODDS, (k + 1) * 2 * SEGMENT_ODDS) at a time, so every
+prime is sieved once per process, and the disk-cache keys it produces do
+not depend on the order or the threads of the requests.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
@@ -75,8 +82,9 @@ class PrimeRange:
         """The odd primes in [lo, hi) as an int64 array, increasing."""
         packed = np.frombuffer(self.flags, dtype=np.uint8)
         bits = np.unpackbits(packed, count=self.odd_count, bitorder="little")
-        first = self.lo | 1
-        return first + 2 * np.flatnonzero(bits).astype(np.int64)
+        # the bits are 0 or 1, and flatnonzero scans bool several times faster
+        index = np.flatnonzero(bits.view(bool)).astype(np.int64, copy=False)
+        return (self.lo | 1) + 2 * index
 
 
 def _base_odd_primes(limit: int) -> np.ndarray:
@@ -252,3 +260,39 @@ def iterate_primes(lo: int, hi: int, visitor: Callable[[int], None]) -> None:
     for chunk in prime_chunks(lo, hi):
         for p in chunk.tolist():
             visitor(p)
+
+
+# Odd primes below `covered`, with covered a multiple of 2 * SEGMENT_ODDS.
+# The pair is replaced as a whole, so a reader never sees a torn update.
+_table: tuple[int, np.ndarray] = (0, np.empty(0, dtype=np.int64))
+_table_lock = threading.Lock()
+
+
+def odd_primes_below(x: float) -> np.ndarray:
+    """The odd primes p < x as an increasing, read-only int64 array.
+
+    The array is a prefix of the per-process prime table, which is first
+    extended to cover x through prime_chunks.
+    """
+    _check_count_limit(x)
+    limit = math.ceil(x)
+    covered, primes = _table
+    if covered < limit:
+        primes = _extend_table(limit)
+    return primes[:np.searchsorted(primes, limit)]
+
+
+def _extend_table(limit: int) -> np.ndarray:
+    global _table
+    step = 2 * SEGMENT_ODDS
+    with _table_lock:
+        covered, primes = _table
+        if covered < limit:
+            top = -(-limit // step) * step
+            chunks = prime_chunks(covered, top)
+            if covered == 0:
+                next(chunks)        # the prime 2
+            primes = np.concatenate([primes, *chunks])
+            primes.flags.writeable = False
+            _table = (top, primes)
+        return primes

@@ -14,6 +14,7 @@ pi_D(n^2) = 0 up to n = 2^12.
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 from cheblab import dihedral, sieve
 
@@ -100,10 +101,14 @@ def represented_by_form(p: int, n: int) -> bool:
     return False
 
 
-def sieve_split_primes(n: int, x: float) -> list[int]:
+def iter_sieve_split_primes(n: int, x: float) -> Iterator[int]:
     """Odd primes p < x of the form a^2 + n^2 b^2, one sieved prime at a time."""
-    return [p for chunk in sieve.prime_chunks(3, math.ceil(x))
-            for p in chunk.tolist() if dihedral.is_totally_split(p, n)]
+    return (p for chunk in sieve.prime_chunks(3, math.ceil(x))
+            for p in chunk.tolist() if dihedral.is_totally_split(p, n))
+
+
+def sieve_split_primes(n: int, x: float) -> list[int]:
+    return list(iter_sieve_split_primes(n, x))
 
 
 def _adapt(f, a, b, fa, fm, fb, whole, tol, depth):

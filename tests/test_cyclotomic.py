@@ -18,10 +18,9 @@ def synthetic_instance(n: int, T: float) -> cyclotomic.CyclotomicInstance:
     For every valid build_D input T = n*log(n)^alpha >= 4, so the
     degenerate no-odd-prime-below-T case is reachable only synthetically.
     """
-    mask = np.ones(n, dtype=bool)
     return cyclotomic.CyclotomicInstance(
         r=n.bit_length() - 1, n=n, q=2 * n, alpha=0.5, T=T,
-        residues=(2 * np.flatnonzero(mask) + 1).astype(np.int64), mask=mask,
+        mask=np.ones(n, dtype=bool),
     )
 
 
@@ -86,6 +85,21 @@ class TestBuildD:
         removed = inst.n - inst.D_size
         assert removed <= sieve.prime_count(inst.T)
         assert inst.D_size >= inst.n - sieve.prime_count(inst.T)
+
+    def test_repeated_build_writes_no_cache_files(self, tmp_path, monkeypatch,
+                                                  fresh_prime_table):
+        monkeypatch.setenv(sieve.CACHE_ENV, str(tmp_path))
+        first = cyclotomic.build_D(1 << 12, 0.5)
+        stamps = {f.name: f.stat().st_mtime_ns for f in tmp_path.iterdir()}
+        assert stamps
+        cyclotomic.build_D(1 << 12, 0.5)
+        fresh_prime_table()         # a new process reads the same aligned keys
+        again = cyclotomic.build_D(1 << 12, 0.5)
+        cyclotomic.build_D(1 << 10, 0.5)
+        sieve.prime_count(2 * sieve.SEGMENT_ODDS)
+        assert {f.name: f.stat().st_mtime_ns
+                for f in tmp_path.iterdir()} == stamps
+        np.testing.assert_array_equal(again.mask, first.mask)
 
     def test_every_residue_odd_and_in_range(self, cyclotomic_instances):
         for inst in cyclotomic_instances.values():

@@ -158,14 +158,41 @@ class TestMinSplitPrime:
         for n in MIN_SPLIT:
             assert dihedral.min_split_prime(n) > n * n
 
+    @pytest.mark.parametrize("r", range(2, 13))
+    def test_matches_sieve_route(self, r):
+        n = 1 << r
+        first = next(oracles.iter_sieve_split_primes(n, 4 * n * n))
+        assert dihedral.min_split_prime(n) == first
+
     def test_search_limit(self):
         with pytest.raises(dihedral.SearchLimitExceeded):
             dihedral.min_split_prime(4, ceiling=17)
         assert dihedral.min_split_prime(4, ceiling=18) == 17
+        for n, p in MIN_SPLIT.items():      # the ceiling is strict
+            with pytest.raises(dihedral.SearchLimitExceeded):
+                dihedral.min_split_prime(n, ceiling=p)
+            assert dihedral.min_split_prime(n, ceiling=p + 1) == p
+
+    def test_least_prime_beyond_the_first_row(self, monkeypatch):
+        # Hide every prime below 9 n^2 from the search: the b = 1 row then
+        # has none, and the least remaining split prime (193 = 7^2 + 16 * 3^2)
+        # is smaller than the first one enumerated (233 = 13^2 + 16 * 2^2).
+        n = 4
+        is_prime = dihedral._is_prime
+        monkeypatch.setattr(dihedral, "_is_prime",
+                            lambda m: m >= 9 * n * n and is_prime(m))
+        expected = min(p for p in oracles.sieve_split_primes(n, 64 * n * n)
+                       if p >= 9 * n * n)
+        assert expected == 193
+        assert dihedral.min_split_prime(n) == expected
+        with pytest.raises(dihedral.SearchLimitExceeded):
+            dihedral.min_split_prime(n, ceiling=193)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             dihedral.min_split_prime(12)
+        with pytest.raises(ValueError):
+            dihedral.min_split_prime(4, ceiling=dihedral.MILLER_RABIN_BOUND + 2)
 
 
 class TestGroupStatistics:

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cheblab import sieve
@@ -189,6 +192,99 @@ class TestIteratePrimes:
             self.collect(5, 4)
         with pytest.raises(OverflowError):
             self.collect(0, (1 << 63) + 2)
+
+
+STEP = 2 * sieve.SEGMENT_ODDS     # integers per aligned table segment
+
+
+def streamed_odd_primes(x: float) -> np.ndarray:
+    """The odd primes below x, streamed by prime_chunks without the table."""
+    chunks = list(sieve.prime_chunks(3, max(3, math.ceil(x))))
+    return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+
+
+class TestPrimeTable:
+    @given(st.one_of(
+        st.floats(0, 3),
+        st.floats(0, 2 * STEP + 1),
+        st.builds(lambda k, d: k * STEP + d,
+                  st.integers(1, 2), st.sampled_from([-0.5, 0.0, 0.5])),
+    ))
+    @example(0.0)
+    @example(3.0)
+    @example(3.5)
+    @example(STEP - 0.5)
+    @example(float(STEP))
+    @example(STEP + 0.5)
+    @settings(max_examples=20, deadline=None)
+    def test_matches_streamed_primes(self, x):
+        got = sieve.odd_primes_below(x)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, streamed_odd_primes(x))
+
+    def test_examples(self, fresh_prime_table):
+        assert sieve.odd_primes_below(2).tolist() == []
+        assert sieve.odd_primes_below(3).tolist() == []
+        assert sieve.odd_primes_below(3.5).tolist() == [3]
+        assert sieve.odd_primes_below(30).tolist() == \
+            oracles.trial_primes_below(30)[1:]
+        assert sieve.odd_primes_below(29).tolist()[-1] == 23   # strict p < x
+
+    def test_order_independence(self, fresh_prime_table):
+        xs = (10.5, STEP - 0.5, float(STEP), STEP + 1, 2 * STEP + 0.5)
+        ascending = [sieve.odd_primes_below(x).copy() for x in xs]
+        descending = [sieve.odd_primes_below(x) for x in reversed(xs)][::-1]
+        fresh_prime_table()
+        descending_first = [sieve.odd_primes_below(x)
+                            for x in reversed(xs)][::-1]
+        for a, d, f in zip(ascending, descending, descending_first):
+            np.testing.assert_array_equal(d, a)
+            np.testing.assert_array_equal(f, a)
+
+    def test_threads_sieve_each_segment_once(self, fresh_prime_table,
+                                             monkeypatch):
+        calls = []
+        sieve_range = sieve.sieve_range
+
+        def counted(lo, hi, *args, **kwargs):
+            calls.append((lo, hi))
+            return sieve_range(lo, hi, *args, **kwargs)
+
+        monkeypatch.setattr(sieve, "sieve_range", counted)
+        # four requesters and a short switch interval, so they interleave
+        xs = (100.5, STEP + 0.5, 2 * STEP - 7, float(2 * STEP))
+        barrier = threading.Barrier(len(xs), timeout=60)
+        results = {}
+
+        def request(x):
+            barrier.wait()
+            results[x] = sieve.odd_primes_below(x)
+
+        threads = [threading.Thread(target=request, args=(x,)) for x in xs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(calls) == [(0, STEP), (STEP, 2 * STEP)]
+        for x in xs:
+            np.testing.assert_array_equal(results[x], streamed_odd_primes(x))
+
+    def test_slices_are_read_only(self):
+        primes = sieve.odd_primes_below(100)
+        with pytest.raises(ValueError):
+            primes[0] = 4
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            sieve.odd_primes_below(-1)
+        with pytest.raises(OverflowError):
+            sieve.odd_primes_below(2 ** 64)
 
 
 class TestDiskCache:
