@@ -34,7 +34,7 @@ from .cyclotomic import (
     pi_D_cyclotomic,
 )
 from .dihedral import (
-    DihedralInstance,
+    ExactBoundExceeded,
     SearchLimitExceeded,
     alpha_dihedral,
     conjugacy_count_bruteforce,
@@ -44,7 +44,6 @@ from .dihedral import (
 )
 from .sieve import (
     PrimeRange,
-    iterate_primes,
     odd_primes_below,
     prime_chunks,
     prime_count,
@@ -52,7 +51,7 @@ from .sieve import (
     sieve_range,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "BOUNDED",
@@ -60,7 +59,7 @@ __all__ = [
     "BoundFamily",
     "ChebotarevSample",
     "CyclotomicInstance",
-    "DihedralInstance",
+    "ExactBoundExceeded",
     "IncompatibleVariantError",
     "PrimeRange",
     "ScanReport",
@@ -78,7 +77,6 @@ __all__ = [
     "frobenius_class",
     "implied_constant",
     "is_totally_split",
-    "iterate_primes",
     "li",
     "li_ratio_to_asymptote",
     "main_term",

@@ -228,7 +228,9 @@ def serre_fit(points: Iterable[Tuple[int, int]]) -> SerreFit:
     ns = [n for n, _ in pts]
     if len(set(ns)) != len(pts):
         raise ValueError("duplicate n values make the fit degenerate")
-    e, logc = np.polyfit(np.log(ns), np.log([p for _, p in pts]), 1)
+    # as floats: an int list above 2^64 would make an object array
+    logs = np.log(np.array(pts, dtype=float))
+    e, logc = np.polyfit(logs[:, 0], logs[:, 1], 1)
     return SerreFit(
         exponent_e=float(e),
         constant_c=float(math.exp(logc)),

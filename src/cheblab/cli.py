@@ -10,7 +10,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -55,12 +54,13 @@ class RunConfig:
 def dihedral_sample(r: int) -> bounds.ChebotarevSample:
     """Measured sample for the dihedral member n = 2^r at x = n^2."""
     n = 1 << r
+    pi_D = dihedral.pi_D_dihedral(n, n * n)    # refuses r before float(n) overflows
     x = float(n) * n
     return bounds.ChebotarevSample(
         family="dihedral",
         n=n,
         x=x,
-        pi_D=dihedral.pi_D_dihedral(n, x),
+        pi_D=pi_D,
         li_x=analytic.li(x),
         D_size=1,
         alpha_G=dihedral.alpha_dihedral(n),
@@ -82,11 +82,9 @@ def cyclotomic_sample(r: int, alpha: float) -> bounds.ChebotarevSample:
 
 
 def _map_ordered(fn: Callable, keys: Iterable, workers: int) -> list:
-    keys = list(keys)
-    if workers <= 1:
-        return [fn(k) for k in keys]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, keys))
+    # One thread whatever `workers` says; the name and the three parameters
+    # stay because bench/traced.py wraps this function by name.
+    return [fn(k) for k in keys]
 
 
 def _fmt(value) -> str:
@@ -332,8 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="report format (default csv)")
     g.add_argument("--workers", type=int, default=1,
-                   help="parallel sample builders; output is identical "
-                        "for any worker count (default 1)")
+                   help="accepted for compatibility: samples are built "
+                        "in one thread, and output is identical for any "
+                        "value (default 1)")
 
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="COMMAND")
@@ -390,16 +389,13 @@ def _validate(cfg: RunConfig) -> Optional[str]:
 
 
 def _sieve_limit_estimate(cfg: RunConfig) -> int:
-    n_max = 1 << cfg.r_max
-    if cfg.command in ("dihedral", "serre"):
-        return dihedral.SEARCH_CEILING_FACTOR * n_max * n_max
-    if cfg.command == "cyclotomic":
+    """How far the command sieves; the dihedral commands sieve nothing."""
+    if cfg.command == "sieve-check":
+        return cfg.limit
+    if cfg.command == "cyclotomic" or cfg.family == "cyclotomic":
+        n_max = 1 << cfg.r_max
         return math.ceil(n_max * math.log(n_max) ** cfg.alpha)
-    if cfg.command == "falsify":
-        if cfg.family == "dihedral":
-            return n_max * n_max
-        return math.ceil(n_max * math.log(n_max) ** cfg.alpha)
-    return cfg.limit
+    return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -439,6 +435,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except dihedral.SearchLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
+    except dihedral.ExactBoundExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 def entrypoint() -> None:

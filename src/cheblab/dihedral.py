@@ -12,10 +12,8 @@ with a deterministic Miller-Rabin test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Iterator
 
-SEARCH_CEILING_FACTOR = 64      # default min_split_prime scan bound, in units of n^2
 MAX_BRUTEFORCE_ORDER = 4096
 
 # The first 12 primes as Miller-Rabin bases decide primality exactly below
@@ -25,36 +23,16 @@ MILLER_RABIN_BOUND = 318665857834031151167461
 
 
 class SearchLimitExceeded(RuntimeError):
-    """No totally split prime found below the configured ceiling."""
+    """The row a^2 + n^2 below 4 n^2 holds no prime."""
+
+
+class ExactBoundExceeded(ValueError):
+    """A search would test values above MILLER_RABIN_BOUND."""
 
 
 def _validate_n(n: int) -> None:
     if n < 4 or n & (n - 1):
         raise ValueError(f"n must be a power of two with n >= 4, got {n}")
-
-
-@dataclass(frozen=True)
-class DihedralInstance:
-    """Group-level constants for one member of the family."""
-
-    r: int
-    n: int                      # |G| = 2^r
-    M: int = 2                  # only the prime 2 ramifies
-    alpha_classes: int = field(default=0)   # conjugacy-class count n/4 + 3
-    D_size: int = 1             # D = {identity}
-
-    def __post_init__(self):
-        _validate_n(self.n)
-        if self.n != 1 << self.r:
-            raise ValueError(f"n={self.n} is not 2^{self.r}")
-        if self.alpha_classes == 0:
-            object.__setattr__(self, "alpha_classes", alpha_dihedral(self.n))
-
-    @classmethod
-    def from_r(cls, r: int) -> "DihedralInstance":
-        if r < 2:
-            raise ValueError(f"need r >= 2, got {r}")
-        return cls(r=r, n=1 << r)
 
 
 def is_totally_split(p: int, n: int) -> bool:
@@ -112,11 +90,11 @@ def _form_values(n: int, top: int) -> Iterator[int]:
         b += 1
 
 
-def _check_exact(x: float) -> None:
-    if not x <= MILLER_RABIN_BOUND:
-        raise ValueError(
-            f"x must not exceed {MILLER_RABIN_BOUND}, the bound of the "
-            f"deterministic primality test, got {x}")
+def _check_exact(n: int, top: float) -> None:
+    if not top <= MILLER_RABIN_BOUND:
+        raise ExactBoundExceeded(
+            f"n=2^{n.bit_length() - 1} would need primality tests above "
+            f"{MILLER_RABIN_BOUND}, the bound of the deterministic test")
 
 
 def pi_D_dihedral(n: int, x: float) -> int:
@@ -130,31 +108,25 @@ def pi_D_dihedral(n: int, x: float) -> int:
         raise ValueError("x must be nonnegative")
     if x <= 3:
         return 0
-    _check_exact(x)
+    _check_exact(n, x)
     top = math.ceil(x) - 1          # p < x exactly when p <= top
     return sum(1 for v in _form_values(n, top) if _is_prime(v))
 
 
-def min_split_prime(n: int, ceiling: int | None = None) -> int:
-    """Smallest totally split prime below ceiling; always > n^2 here.
+def min_split_prime(n: int) -> int:
+    """Smallest totally split prime; always between n^2 and 4 n^2 here.
 
     Every form value with b >= 2 is at least 4 n^2, so the first prime
     among a^2 + n^2 with a odd and a^2 + n^2 < 4 n^2 is the least one.
-    Only if that row has none are all form values below ceiling searched.
+    No n is known whose row holds no prime, but none is ruled out.
     """
     _validate_n(n)
-    if ceiling is None:
-        ceiling = SEARCH_CEILING_FACTOR * n * n
-    _check_exact(ceiling - 1)
-    for v in _form_values(n, min(ceiling, 4 * n * n) - 1):
+    top = 4 * n * n - 1
+    _check_exact(n, top)
+    for v in _form_values(n, top):
         if _is_prime(v):
             return v
-    found = [v for v in _form_values(n, ceiling - 1) if _is_prime(v)]
-    if found:
-        return min(found)
-    raise SearchLimitExceeded(
-        f"no totally split prime below {ceiling} for n={n}"
-    )
+    raise SearchLimitExceeded(f"no totally split prime below {top + 1} for n={n}")
 
 
 def alpha_dihedral(n: int) -> int:

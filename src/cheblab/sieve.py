@@ -18,7 +18,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -179,7 +179,7 @@ def sieve_range(lo: int, hi: int, segment_odds: int = SEGMENT_ODDS) -> PrimeRang
     if _odds_in(lo, hi) > SEGMENT_ODDS * MAX_SEGMENTS_PER_RANGE:
         raise OverflowError(
             "range too wide to materialize in one PrimeRange; "
-            "stream it with prime_chunks or iterate_primes"
+            "stream it with prime_chunks"
         )
 
     cached = _cache_load(lo, hi)
@@ -253,13 +253,6 @@ def prime_chunks(lo: int, hi: int,
         odds = seg.odd_primes()
         if odds.size:
             yield odds
-
-
-def iterate_primes(lo: int, hi: int, visitor: Callable[[int], None]) -> None:
-    """Invoke visitor once per prime in [lo, hi), in increasing order."""
-    for chunk in prime_chunks(lo, hi):
-        for p in chunk.tolist():
-            visitor(p)
 
 
 # Odd primes below `covered`, with covered a multiple of 2 * SEGMENT_ODDS.

@@ -111,6 +111,20 @@ def sieve_split_primes(n: int, x: float) -> list[int]:
     return list(iter_sieve_split_primes(n, x))
 
 
+def fermat_row_prime(n: int) -> int:
+    """The first a^2 + n^2, a odd, that passes Fermat tests to 2, 3, 5 and 7.
+
+    Every value skipped has a Fermat witness among those bases, which
+    proves it composite; the value returned is only a probable prime.
+    """
+    a = 1
+    while True:
+        m = a * a + n * n
+        if all(pow(w, m - 1, m) == 1 for w in (2, 3, 5, 7)):
+            return m
+        a += 2
+
+
 def _adapt(f, a, b, fa, fm, fb, whole, tol, depth):
     m = 0.5 * (a + b)
     lm = 0.5 * (a + m)

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from cheblab import analytic, bounds
+from cheblab import analytic, bounds, dihedral
 
 import oracles
 
@@ -308,6 +308,13 @@ class TestSerreFit:
         fit = bounds.serre_fit(pts)
         assert fit.exponent_e == pytest.approx(1.984357, rel=1e-5)
         assert fit.exponent_e >= 1.9
+
+    def test_fit_beyond_two_to_the_64(self):
+        # p_min(2^32) = 18446744073709551697 is already above 2^64
+        pts = [(1 << r, dihedral.min_split_prime(1 << r)) for r in range(2, 39)]
+        assert max(p for _, p in pts) > 1 << 64
+        fit = bounds.serre_fit(pts)
+        assert abs(fit.exponent_e - 2) < 0.01
 
     def test_two_points_low_confidence_exact_line(self):
         fit = bounds.serre_fit([(4, 17), (8, 73)])

@@ -6,9 +6,11 @@ import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from cheblab import __version__, dihedral
 from cheblab.cli import (
     EXIT_FAILURE,
     EXIT_IO,
@@ -85,19 +87,40 @@ class TestUsageErrors:
 
 
 class TestResourceGuard:
+    # The dihedral commands sieve nothing.  They stop where their values
+    # pass the bound of the exact primality test: the least split prime
+    # of 2^39 is sought below 2^80, and pi_D at x = n^2 = 2^80 for r = 40.
     def test_dihedral_guard(self, capsys):
-        rc, _, err = run(capsys, "dihedral", "--r-max", "18")
-        assert rc == EXIT_RESOURCE
-        assert "guard" in err
+        # r = 1100 also checks that the bound is met before float(n) overflows
+        for argv in (("dihedral", "--r-max", "39"),
+                     ("serre", "--r-min", "2", "--r-max", "39"),
+                     ("dihedral", "--r-min", "1100", "--r-max", "1100")):
+            rc, out, err = run(capsys, *argv)
+            assert rc == EXIT_RESOURCE, argv
+            assert out == ""
+            assert str(dihedral.MILLER_RABIN_BOUND) in err
 
     def test_falsify_guard(self, capsys):
-        rc, _, _ = run(capsys, "falsify", "--family", "dihedral",
-                       "--r-min", "4", "--r-max", "21")
+        rc, out, err = run(capsys, "falsify", "--family", "dihedral",
+                           "--r-min", "4", "--r-max", "40")
         assert rc == EXIT_RESOURCE
+        assert out == ""
+        assert str(dihedral.MILLER_RABIN_BOUND) in err
 
     def test_sieve_check_guard(self, capsys):
         rc, _, _ = run(capsys, "sieve-check", "--limit", str((1 << 40) + 1))
         assert rc == EXIT_RESOURCE
+
+    def test_dihedral_commands_reach_the_exact_bound(self, capsys):
+        rc, out, _ = run(capsys, "serre", "--r-min", "2", "--r-max", "38")
+        assert rc == EXIT_OK
+        _, rows, summary = parse_csv(out)
+        assert len(rows) == 37
+        assert abs(float(summary["exponent_e"]) - 2) < 0.01
+        rc, out, _ = run(capsys, "falsify", "--family", "dihedral",
+                         "--r-min", "4", "--r-max", "39")
+        assert rc == EXIT_OK
+        assert len(parse_csv(out)[1]) == 36
 
 
 class TestIOError:
@@ -278,3 +301,7 @@ class TestEntryPoints:
                                "--r-max", "3"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.startswith("r,n,p_min")
+
+    def test_version_matches_pyproject(self):
+        text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        assert f'\nversion = "{__version__}"\n' in text

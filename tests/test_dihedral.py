@@ -125,9 +125,9 @@ class TestPiD:
 
     def test_miller_rabin_bound(self):
         bound = dihedral.MILLER_RABIN_BOUND
-        with pytest.raises(ValueError):
+        with pytest.raises(dihedral.ExactBoundExceeded):
             dihedral.pi_D_dihedral(4, bound + 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(dihedral.ExactBoundExceeded):
             dihedral.pi_D_dihedral(4, float("inf"))
         # x = n^2 = 2^78 lies just below the bound and has no candidates
         n = 1 << 39
@@ -164,35 +164,27 @@ class TestMinSplitPrime:
         first = next(oracles.iter_sieve_split_primes(n, 4 * n * n))
         assert dihedral.min_split_prime(n) == first
 
-    def test_search_limit(self):
-        with pytest.raises(dihedral.SearchLimitExceeded):
-            dihedral.min_split_prime(4, ceiling=17)
-        assert dihedral.min_split_prime(4, ceiling=18) == 17
-        for n, p in MIN_SPLIT.items():      # the ceiling is strict
-            with pytest.raises(dihedral.SearchLimitExceeded):
-                dihedral.min_split_prime(n, ceiling=p)
-            assert dihedral.min_split_prime(n, ceiling=p + 1) == p
+    @pytest.mark.parametrize("r", range(13, 39))
+    def test_matches_fermat_oracle(self, r):
+        n = 1 << r
+        assert dihedral.min_split_prime(n) == oracles.fermat_row_prime(n)
 
-    def test_least_prime_beyond_the_first_row(self, monkeypatch):
-        # Hide every prime below 9 n^2 from the search: the b = 1 row then
-        # has none, and the least remaining split prime (193 = 7^2 + 16 * 3^2)
-        # is smaller than the first one enumerated (233 = 13^2 + 16 * 2^2).
-        n = 4
+    def test_search_limit(self, monkeypatch):
+        # with no prime in the row a^2 + n^2 < 4 n^2 the search gives up
         is_prime = dihedral._is_prime
         monkeypatch.setattr(dihedral, "_is_prime",
-                            lambda m: m >= 9 * n * n and is_prime(m))
-        expected = min(p for p in oracles.sieve_split_primes(n, 64 * n * n)
-                       if p >= 9 * n * n)
-        assert expected == 193
-        assert dihedral.min_split_prime(n) == expected
+                            lambda m: m >= 4 * 16 * 16 and is_prime(m))
         with pytest.raises(dihedral.SearchLimitExceeded):
-            dihedral.min_split_prime(n, ceiling=193)
+            dihedral.min_split_prime(16)
+        assert dihedral.min_split_prime(32) == MIN_SPLIT[32]   # 1033 > 1024
 
     def test_validation(self):
         with pytest.raises(ValueError):
             dihedral.min_split_prime(12)
-        with pytest.raises(ValueError):
-            dihedral.min_split_prime(4, ceiling=dihedral.MILLER_RABIN_BOUND + 2)
+        # the row of 2^39 reaches 2^80, beyond the exact primality test
+        with pytest.raises(dihedral.ExactBoundExceeded):
+            dihedral.min_split_prime(1 << 39)
+        assert dihedral.min_split_prime(1 << 38) < dihedral.MILLER_RABIN_BOUND
 
 
 class TestGroupStatistics:
@@ -232,18 +224,3 @@ class TestGroupStatistics:
             dihedral.conjugacy_count_bruteforce(2)
         with pytest.raises(ValueError):
             dihedral.conjugacy_count_bruteforce(4098)
-
-
-class TestInstance:
-    def test_from_r(self):
-        inst = dihedral.DihedralInstance.from_r(4)
-        assert inst.n == 16
-        assert inst.M == 2
-        assert inst.alpha_classes == 7
-        assert inst.D_size == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            dihedral.DihedralInstance.from_r(1)
-        with pytest.raises(ValueError):
-            dihedral.DihedralInstance(r=3, n=16)

@@ -165,10 +165,10 @@ class TestPrimesInAP:
 
 
 class TestIteratePrimes:
+    """Iterating the primes of [lo, hi) through prime_chunks."""
+
     def collect(self, lo, hi):
-        out: list[int] = []
-        sieve.iterate_primes(lo, hi, out.append)
-        return out
+        return [p for chunk in sieve.prime_chunks(lo, hi) for p in chunk.tolist()]
 
     def test_examples(self):
         assert self.collect(0, 6) == [2, 3, 5]
