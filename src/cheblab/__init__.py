@@ -44,6 +44,7 @@ from .dihedral import (
 )
 from .sieve import (
     PrimeRange,
+    odd_flags_below,
     odd_primes_below,
     prime_chunks,
     prime_count,
@@ -51,7 +52,7 @@ from .sieve import (
     sieve_range,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "BOUNDED",
@@ -81,6 +82,7 @@ __all__ = [
     "li_ratio_to_asymptote",
     "main_term",
     "min_split_prime",
+    "odd_flags_below",
     "odd_primes_below",
     "pi_D_cyclotomic",
     "pi_D_dihedral",

@@ -21,7 +21,8 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_IO = 4
 
-SIEVE_GUARD = 1 << 40           # refuse configurations sieving beyond this
+SIEVE_GUARD = 1 << 40           # refuse sieve-check beyond this extent
+MEMORY_BUDGET = 1 << 31         # refuse cyclotomic commands holding more bytes
 
 HEADERS = {
     "dihedral": ("r", "n", "x", "pi_D", "li_x", "alpha_G", "p_min"),
@@ -388,14 +389,22 @@ def _validate(cfg: RunConfig) -> Optional[str]:
     return None
 
 
-def _sieve_limit_estimate(cfg: RunConfig) -> int:
-    """How far the command sieves; the dihedral commands sieve nothing."""
-    if cfg.command == "sieve-check":
-        return cfg.limit
+def _resource_problem(cfg: RunConfig) -> Optional[str]:
+    """Why the command would exceed a resource guard, or None.
+
+    sieve-check is bounded by its sieve extent, the cyclotomic commands by
+    the bytes they hold at r_max; the dihedral commands sieve nothing and
+    are bounded by the exact primality test instead.
+    """
+    if cfg.command == "sieve-check" and cfg.limit > SIEVE_GUARD:
+        return (f"configuration would sieve up to {cfg.limit}, beyond the "
+                f"2^40 resource guard")
     if cfg.command == "cyclotomic" or cfg.family == "cyclotomic":
-        n_max = 1 << cfg.r_max
-        return math.ceil(n_max * math.log(n_max) ** cfg.alpha)
-    return 0
+        held = cyclotomic.peak_bytes(1 << cfg.r_max, cfg.alpha)
+        if held > MEMORY_BUDGET:
+            return (f"r = {cfg.r_max} would hold about {held} bytes, beyond "
+                    f"the memory budget of 2^31 = {MEMORY_BUDGET} bytes")
+    return None
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -422,13 +431,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if problem is not None:
         print(f"error: {problem}", file=sys.stderr)
         return EXIT_USAGE
-    estimate = _sieve_limit_estimate(cfg)
-    if estimate > SIEVE_GUARD:
-        print(
-            f"error: configuration would sieve up to {estimate}, beyond "
-            f"the 2^40 resource guard",
-            file=sys.stderr,
-        )
+    problem = _resource_problem(cfg)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
         return EXIT_RESOURCE
     try:
         return _COMMANDS[cfg.command](cfg)

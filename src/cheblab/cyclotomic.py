@@ -5,16 +5,20 @@ of an odd prime p is p mod q, and D collects the odd residues whose
 progression contains no prime below T = n * log(n)^alpha.  By construction
 pi_D(T) = 0 while |D| >= n - pi(T), so |D| ~ n.
 
-Both the builder and the counter read the odd primes below their bound
-from the shared table in sieve.odd_primes_below and map each prime to
-its residue index in one vectorised step.  D is stored only as a bitmap
-of n bytes; the table costs 8 bytes per prime below the largest bound.
+The odd integer 2k + 1 lies in the class with index k mod n.  So the
+packed odd flags below a bound (sieve.odd_flags_below), cut into rows of
+n bits, put every prime of one class in the same bit column: OR-ing the
+rows gives the classes hit, and AND-ing the rows with D counts the primes
+in D.  For n = 4 a row is one byte, two periods.  Nothing is unpacked but
+D itself, a bitmap of n bytes; the flags cost one bit per odd integer
+below the largest bound.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -75,8 +79,14 @@ def build_D(n: int, alpha: float) -> CyclotomicInstance:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     q = 2 * n
     T = n * math.log(n) ** alpha
-    mask = np.ones(n, dtype=bool)
-    mask[(sieve.odd_primes_below(T) % q) >> 1] = False
+    flags = np.frombuffer(sieve.odd_flags_below(T).flags, dtype=np.uint8)
+    width = max(n, 8) // 8      # bytes per row: n bits, one byte for n = 4
+    full = flags.size - flags.size % width
+    hit = np.bitwise_or.reduce(flags[:full].reshape(-1, width), axis=0)
+    hit[:flags.size - full] |= flags[full:]
+    if n == 4:
+        hit |= hit >> 4         # odd index k lies in class k mod 4
+    mask = np.unpackbits(~hit, count=n, bitorder="little").view(bool)
     return CyclotomicInstance(
         r=n.bit_length() - 1, n=n, q=q, alpha=alpha, T=T, mask=mask,
     )
@@ -84,8 +94,28 @@ def build_D(n: int, alpha: float) -> CyclotomicInstance:
 
 def pi_D_cyclotomic(inst: CyclotomicInstance, x: float) -> int:
     """Number of odd primes p < x with p mod q in D; 2 is excluded."""
-    primes = sieve.odd_primes_below(x)
-    return int(np.count_nonzero(inst.mask[(primes % inst.q) >> 1]))
+    flags = np.frombuffer(sieve.odd_flags_below(x).flags, dtype=np.uint8)
+    row = np.packbits(inst.mask, bitorder="little")
+    if inst.n == 4:
+        row |= row << 4
+    in_D = np.resize(row, flags.size)
+    in_D &= flags
+    return int.from_bytes(in_D, "little").bit_count()
+
+
+def peak_bytes(n: int, alpha: float) -> int:
+    """Upper bound on the bytes held at once to build D for n and count pi_D(T).
+
+    D as n bytes and its packed forms (n/4 more); four times the flag
+    table below T, in whole segments (the table, the prefix read from it,
+    the AND with D and the integer that counts it; while the table grows,
+    the old table, the new segments and their join); and one sieve
+    segment's workspace.  T is kept as an exact rational, so no n
+    overflows a float.
+    """
+    step = 2 * sieve.SEGMENT_ODDS
+    segments = math.ceil(n * Fraction(math.log(n) ** alpha) / step)
+    return n + n // 4 + 4 * (segments * step // 16) + 3 * sieve.SEGMENT_ODDS
 
 
 def density_ratio(inst: CyclotomicInstance) -> float:

@@ -5,11 +5,13 @@ query layer.  Every segment is sieved against all base primes below
 sqrt(hi), so any segmentation of the same interval produces identical
 flag bytes.
 
-Callers that need the primes themselves read them from one per-process
-table (odd_primes_below).  The table only grows, one aligned segment
-[k * 2 * SEGMENT_ODDS, (k + 1) * 2 * SEGMENT_ODDS) at a time, so every
-prime is sieved once per process, and the disk-cache keys it produces do
-not depend on the order or the threads of the requests.
+Callers that need the flags below a bound read them from one per-process
+table (odd_flags_below), one bit per odd integer.  The table only grows,
+one aligned segment [k * 2 * SEGMENT_ODDS, (k + 1) * 2 * SEGMENT_ODDS) at
+a time, so every prime is sieved once per process, and the disk-cache
+keys it produces do not depend on the order or the threads of the
+requests.  Cache files end in a CRC-32 of header and payload, so a
+damaged file is recomputed rather than read.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+import zlib
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -26,7 +29,7 @@ SEGMENT_ODDS = 1 << 20          # odd entries per segment: cache-resident inner 
 MAX_SEGMENTS_PER_RANGE = 256    # cap on materialized ranges; stream wider ones
 MAX_LIMIT = 1 << 63
 CACHE_ENV = "CHEB_CACHE_DIR"
-_CACHE_MAGIC = b"CHEB1"
+_CACHE_MAGIC = b"CHEB2"
 
 
 def _odds_in(lo: int, hi: int) -> int:
@@ -125,7 +128,11 @@ def _sieve_segment(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
 
 
 def _cache_path(cache_dir: str, lo: int, hi: int) -> str:
-    return os.path.join(cache_dir, f"sieve-{lo}-{hi}.cheb1")
+    return os.path.join(cache_dir, f"sieve-{lo}-{hi}.cheb2")
+
+
+def _cache_header(lo: int, hi: int) -> bytes:
+    return _CACHE_MAGIC + lo.to_bytes(8, "little") + hi.to_bytes(8, "little")
 
 
 def _cache_load(lo: int, hi: int) -> Optional[bytes]:
@@ -137,11 +144,13 @@ def _cache_load(lo: int, hi: int) -> Optional[bytes]:
             data = fh.read()
     except OSError:
         return None
-    header = _CACHE_MAGIC + lo.to_bytes(8, "little") + hi.to_bytes(8, "little")
-    expected_len = len(header) + (_odds_in(lo, hi) + 7) // 8
-    if len(data) != expected_len or not data.startswith(header):
+    header = _cache_header(lo, hi)
+    expected_len = len(header) + (_odds_in(lo, hi) + 7) // 8 + 4
+    body, trailer = data[:-4], data[-4:]
+    if (len(data) != expected_len or not data.startswith(header)
+            or zlib.crc32(body) != int.from_bytes(trailer, "little")):
         return None  # corrupt entries are recomputed silently
-    return data[len(header):]
+    return body[len(header):]
 
 
 def _cache_store(lo: int, hi: int, flags: bytes) -> None:
@@ -149,14 +158,15 @@ def _cache_store(lo: int, hi: int, flags: bytes) -> None:
     if not cache_dir:
         return
     path = _cache_path(cache_dir, lo, hi)
-    tmp = f"{path}.tmp{os.getpid()}"
+    tmp = f"{path}.tmp{os.getpid()}-{threading.get_ident()}"
+    header = _cache_header(lo, hi)
+    crc = zlib.crc32(flags, zlib.crc32(header))
     try:
         os.makedirs(cache_dir, exist_ok=True)
         with open(tmp, "wb") as fh:
-            fh.write(_CACHE_MAGIC)
-            fh.write(lo.to_bytes(8, "little"))
-            fh.write(hi.to_bytes(8, "little"))
+            fh.write(header)
             fh.write(flags)
+            fh.write(crc.to_bytes(4, "little"))
         os.replace(tmp, path)
     except OSError:
         pass  # cache is best-effort
@@ -255,37 +265,41 @@ def prime_chunks(lo: int, hi: int,
             yield odds
 
 
-# Odd primes below `covered`, with covered a multiple of 2 * SEGMENT_ODDS.
-# The pair is replaced as a whole, so a reader never sees a torn update.
-_table: tuple[int, np.ndarray] = (0, np.empty(0, dtype=np.int64))
+# Packed odd flags of [0, covered), with covered a multiple of
+# 2 * SEGMENT_ODDS.  The pair is replaced as a whole, so a reader never
+# sees a torn update.
+_table: tuple[int, bytes] = (0, b"")
 _table_lock = threading.Lock()
 
 
-def odd_primes_below(x: float) -> np.ndarray:
-    """The odd primes p < x as an increasing, read-only int64 array.
+def odd_flags_below(x: float) -> PrimeRange:
+    """Packed odd-primality flags of [0, ceil(x)), read from the table.
 
-    The array is a prefix of the per-process prime table, which is first
-    extended to cover x through prime_chunks.
+    The table is first extended to cover x, one aligned segment at a
+    time.  Padding bits at or above ceil(x) are cleared, so the bytes equal
+    sieve_range(0, ceil(x)).flags.
     """
+    global _table
     _check_count_limit(x)
     limit = math.ceil(x)
-    covered, primes = _table
+    covered, flags = _table
     if covered < limit:
-        primes = _extend_table(limit)
-    return primes[:np.searchsorted(primes, limit)]
+        with _table_lock:
+            covered, flags = _table
+            if covered < limit:
+                step = 2 * SEGMENT_ODDS
+                top = -(-limit // step) * step
+                flags = b"".join([flags, *(
+                    sieve_range(lo, lo + step).flags
+                    for lo in range(covered, top, step))])
+                _table = (top, flags)
+    full, rem = divmod(_odds_in(0, limit), 8)
+    tail = bytes([flags[full] & ((1 << rem) - 1)]) if rem else b""
+    return PrimeRange(0, limit, b"".join((memoryview(flags)[:full], tail)))
 
 
-def _extend_table(limit: int) -> np.ndarray:
-    global _table
-    step = 2 * SEGMENT_ODDS
-    with _table_lock:
-        covered, primes = _table
-        if covered < limit:
-            top = -(-limit // step) * step
-            chunks = prime_chunks(covered, top)
-            if covered == 0:
-                next(chunks)        # the prime 2
-            primes = np.concatenate([primes, *chunks])
-            primes.flags.writeable = False
-            _table = (top, primes)
-        return primes
+def odd_primes_below(x: float) -> np.ndarray:
+    """The odd primes p < x as an increasing, read-only int64 array."""
+    primes = odd_flags_below(x).odd_primes()
+    primes.flags.writeable = False
+    return primes

@@ -13,8 +13,6 @@ sys.path.insert(0, os.path.dirname(__file__))
 # is exercised explicitly with monkeypatched directories.
 os.environ.pop("CHEB_CACHE_DIR", None)
 
-import numpy as np  # noqa: E402
-
 from cheblab import analytic, bounds, cyclotomic, sieve  # noqa: E402
 from cheblab.cli import dihedral_sample  # noqa: E402
 
@@ -23,13 +21,13 @@ import oracles  # noqa: E402
 
 @pytest.fixture
 def fresh_prime_table(monkeypatch):
-    """Empty the per-process prime table for one test, as in a new process.
+    """Empty the per-process flag table for one test, as in a new process.
 
     Returns a callable that empties it again; the table as it was is
     restored after the test.
     """
     def reset() -> None:
-        monkeypatch.setattr(sieve, "_table", (0, np.empty(0, dtype=np.int64)))
+        monkeypatch.setattr(sieve, "_table", (0, b""))
 
     reset()
     return reset

@@ -6,17 +6,20 @@ import json
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from cheblab import __version__, dihedral
+from cheblab import __version__, cyclotomic, dihedral
 from cheblab.cli import (
     EXIT_FAILURE,
     EXIT_IO,
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_USAGE,
+    MEMORY_BUDGET,
+    cyclotomic_sample,
     main,
 )
 
@@ -106,6 +109,32 @@ class TestResourceGuard:
         assert rc == EXIT_RESOURCE
         assert out == ""
         assert str(dihedral.MILLER_RABIN_BOUND) in err
+
+    def test_cyclotomic_guard(self, capsys):
+        for argv in (("cyclotomic", "--r-max", "30"),
+                     ("falsify", "--family", "cyclotomic",
+                      "--r-min", "8", "--r-max", "30"),
+                     ("cyclotomic", "--r-min", "1100", "--r-max", "1100")):
+            rc, out, err = run(capsys, *argv)
+            assert rc == EXIT_RESOURCE, argv
+            assert out == ""
+            assert f"2^31 = {MEMORY_BUDGET} bytes" in err
+
+    def test_cyclotomic_budget_admits_r_29(self):
+        assert cyclotomic.peak_bytes(1 << 29, 0.5) <= MEMORY_BUDGET
+        assert cyclotomic.peak_bytes(1 << 30, 0.5) > MEMORY_BUDGET
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.99])
+    @pytest.mark.parametrize("r", [16, 20, 22])
+    def test_peak_bytes_bound_traced_peak(self, r, alpha,
+                                          fresh_prime_table):
+        tracemalloc.start()
+        try:
+            cyclotomic_sample(r, alpha)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= cyclotomic.peak_bytes(1 << r, alpha)
 
     def test_sieve_check_guard(self, capsys):
         rc, _, _ = run(capsys, "sieve-check", "--limit", str((1 << 40) + 1))

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cheblab import cyclotomic, sieve
 
@@ -143,6 +145,36 @@ class TestPiD:
     def test_validation(self, cyclotomic_instances):
         with pytest.raises(ValueError):
             cyclotomic.pi_D_cyclotomic(cyclotomic_instances[2], -2.0)
+
+
+@pytest.fixture(scope="module")
+def trial_primes() -> list[int]:
+    """Primes below 2^16 by trial division, shared by the fold tests."""
+    return oracles.trial_primes_below(1 << 16)
+
+
+class TestFoldAgainstTrialPrimes:
+    """build_D and pi_D against p % q over trial-division primes, a route
+    that shares no code with the sieve or the bit folds."""
+
+    @given(st.integers(2, 12),
+           st.floats(0, 1, exclude_min=True, exclude_max=True),
+           st.floats(0, 1 << 16).filter(lambda x: x % 16 != 0))
+    @example(2, 0.5, 3.5)
+    @example(2, 0.999, 30.5)
+    @example(3, 0.001, 65535.5)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_oracle(self, trial_primes, r, alpha, x):
+        n = 1 << r
+        q = 2 * n
+        inst = cyclotomic.build_D(n, alpha)
+        hit = {p % q for p in trial_primes if 2 < p < inst.T}
+        in_D = [d for d in range(1, q, 2) if d not in hit]
+        assert inst.residues.tolist() == in_D
+        assert inst.D_size == len(in_D)
+        members = set(in_D)
+        expected = sum(1 for p in trial_primes if 2 < p < x and p % q in members)
+        assert cyclotomic.pi_D_cyclotomic(inst, x) == expected
 
 
 class TestDensityRatio:

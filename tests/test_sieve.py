@@ -6,13 +6,14 @@ import math
 import os
 import sys
 import threading
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cheblab import sieve
+from cheblab import cyclotomic, sieve
 
 import oracles
 
@@ -258,7 +259,7 @@ class TestPrimeTable:
 
         def request(x):
             barrier.wait()
-            results[x] = sieve.odd_primes_below(x)
+            results[x] = sieve.odd_flags_below(x)
 
         threads = [threading.Thread(target=request, args=(x,)) for x in xs]
         interval = sys.getswitchinterval()
@@ -273,7 +274,19 @@ class TestPrimeTable:
         assert not any(t.is_alive() for t in threads)
         assert sorted(calls) == [(0, STEP), (STEP, 2 * STEP)]
         for x in xs:
-            np.testing.assert_array_equal(results[x], streamed_odd_primes(x))
+            assert results[x].flags == sieve_range(0, math.ceil(x)).flags
+
+    @pytest.mark.parametrize("order", ["ascending", "descending"])
+    def test_flags_equal_sieve_range(self, fresh_prime_table, order):
+        xs = [0, 1, 2, 3, 3.5] + [k * STEP + d for k in (1, 2, 3)
+                                  for d in (-0.5, 0.5)]
+        if order == "descending":
+            xs.reverse()
+        for x in xs:
+            got = sieve.odd_flags_below(x)
+            want = sieve.sieve_range(0, math.ceil(x))
+            assert (got.lo, got.hi) == (0, math.ceil(x)), x
+            assert got.flags == want.flags, x
 
     def test_slices_are_read_only(self):
         primes = sieve.odd_primes_below(100)
@@ -289,8 +302,9 @@ class TestPrimeTable:
 
 class TestDiskCache:
     def _expected_bytes(self, lo, hi, flags):
-        return (b"CHEB1" + lo.to_bytes(8, "little")
+        body = (b"CHEB2" + lo.to_bytes(8, "little")
                 + hi.to_bytes(8, "little") + flags)
+        return body + zlib.crc32(body).to_bytes(4, "little")
 
     def test_cache_file_format(self, tmp_path, monkeypatch):
         monkeypatch.setenv(sieve.CACHE_ENV, str(tmp_path))
@@ -301,6 +315,58 @@ class TestDiskCache:
         assert data == self._expected_bytes(0, 10 ** 4, rng.flags)
         # payload is one bit per odd integer, LSB first, padded to bytes
         assert len(rng.flags) == (10 ** 4 // 2 + 7) // 8
+
+    def test_first_format_is_a_miss(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(sieve.CACHE_ENV, str(tmp_path))
+        clean = sieve.sieve_range(0, 2000)
+        path = next(tmp_path.iterdir())
+        # a CHEB1 file (no CRC) with every odd integer marked prime,
+        # both under its own name and under the current one
+        cheb1 = (b"CHEB1" + (0).to_bytes(8, "little")
+                 + (2000).to_bytes(8, "little") + b"\xff" * len(clean.flags))
+        (tmp_path / "sieve-0-2000.cheb1").write_bytes(cheb1)
+        assert sieve.sieve_range(0, 2000).flags == clean.flags
+        path.write_bytes(cheb1)
+        assert sieve.sieve_range(0, 2000).flags == clean.flags
+        assert path.read_bytes() == self._expected_bytes(0, 2000, clean.flags)
+
+    def test_flipped_payload_bit_recomputed(self, tmp_path, monkeypatch,
+                                            fresh_prime_table):
+        monkeypatch.setenv(sieve.CACHE_ENV, str(tmp_path))
+        clean = cyclotomic.build_D(1 << 12, 0.5)
+        # no prime below T is 1 mod 2^13, so marking 1 prime would drop
+        # class 1 from D if the damaged file were read
+        assert clean.contains(1)
+        path = tmp_path / f"sieve-0-{STEP}.cheb2"
+        good = path.read_bytes()
+        data = bytearray(good)
+        data[21] ^= 1               # payload bit 0: the odd integer 1
+        path.write_bytes(bytes(data))
+        fresh_prime_table()
+        assert cyclotomic.build_D(1 << 12, 0.5).D_size == clean.D_size
+        assert path.read_bytes() == good
+
+    def test_temp_names_unique_per_thread(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(sieve.CACHE_ENV, str(tmp_path))
+        replace = os.replace
+        sources = []
+
+        def recorded(src, dst):
+            sources.append(src)
+            replace(src, dst)
+
+        monkeypatch.setattr(sieve.os, "replace", recorded)
+        flags = sieve.sieve_range(0, 1000).flags
+        sources.clear()
+        threads = [threading.Thread(target=sieve._cache_store,
+                                    args=(0, 1000, flags))
+                   for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert len(sources) == 2 and sources[0] != sources[1]
 
     def test_cache_round_trip(self, tmp_path, monkeypatch):
         monkeypatch.setenv(sieve.CACHE_ENV, str(tmp_path))
@@ -315,7 +381,7 @@ class TestDiskCache:
         monkeypatch.setenv(sieve.CACHE_ENV, str(tmp_path))
         clean = sieve.sieve_range(0, 2000)
         path = next(tmp_path.iterdir())
-        path.write_bytes(b"CHEB1" + b"\xff" * (len(clean.flags) + 16))
+        path.write_bytes(b"CHEB2" + b"\xff" * (len(clean.flags) + 20))
         recomputed = sieve.sieve_range(0, 2000)
         assert recomputed.flags == clean.flags
 
