@@ -31,6 +31,7 @@ from .cyclotomic import (
     build_D,
     density_ratio,
     frobenius_class,
+    measure_family,
     pi_D_cyclotomic,
 )
 from .dihedral import (
@@ -45,14 +46,13 @@ from .dihedral import (
 from .sieve import (
     PrimeRange,
     odd_flags_below,
-    odd_primes_below,
     prime_chunks,
     prime_count,
     primes_in_ap_count,
     sieve_range,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "BOUNDED",
@@ -81,9 +81,9 @@ __all__ = [
     "li",
     "li_ratio_to_asymptote",
     "main_term",
+    "measure_family",
     "min_split_prime",
     "odd_flags_below",
-    "odd_primes_below",
     "pi_D_cyclotomic",
     "pi_D_dihedral",
     "prime_chunks",

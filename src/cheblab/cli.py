@@ -10,7 +10,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import analytic, bounds, cyclotomic, dihedral, sieve
@@ -33,25 +32,6 @@ HEADERS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    r_min: int
-    r_max: int
-    alpha: float
-    range_alpha: float
-    variant: str
-    a: float
-    b: float
-    epsilon: float
-    output_path: Optional[str]
-    format: str
-    workers: int
-    family: Optional[str] = None
-    limit: int = 10 ** 6
-    q: int = 12
-
-
 def dihedral_sample(r: int) -> bounds.ChebotarevSample:
     """Measured sample for the dihedral member n = 2^r at x = n^2."""
     n = 1 << r
@@ -68,24 +48,31 @@ def dihedral_sample(r: int) -> bounds.ChebotarevSample:
     )
 
 
-def cyclotomic_sample(r: int, alpha: float) -> bounds.ChebotarevSample:
-    """Measured sample for the cyclotomic member n = 2^r at x = T."""
-    inst = cyclotomic.build_D(1 << r, alpha)
+def _cyclotomic_sample(member: tuple) -> bounds.ChebotarevSample:
+    """Measured sample at x = T for one (instance, pi_D(T)) of the family."""
+    inst, pi_D = member
     return bounds.ChebotarevSample(
         family="cyclotomic",
         n=inst.n,
         x=inst.T,
-        pi_D=cyclotomic.pi_D_cyclotomic(inst, inst.T),
+        pi_D=pi_D,
         li_x=analytic.li(inst.T),
         D_size=inst.D_size,
         alpha_G=inst.n,         # abelian group: every class is a singleton
     )
 
 
+def cyclotomic_sample(r: int, alpha: float) -> bounds.ChebotarevSample:
+    """Measured sample for the cyclotomic member n = 2^r at x = T."""
+    return _cyclotomic_sample(next(cyclotomic.measure_family([1 << r], alpha)))
+
+
 def _map_ordered(fn: Callable, keys: Iterable, workers: int) -> list:
     # One thread whatever `workers` says; the name and the three parameters
-    # stay because bench/traced.py wraps this function by name.
-    return [fn(k) for k in keys]
+    # stay because bench/traced.py wraps this function by name.  map holds
+    # no key while the next one is drawn, so a family member is released
+    # before the next is built.
+    return list(map(fn, keys))
 
 
 def _fmt(value) -> str:
@@ -117,19 +104,19 @@ def render_json(command: str, headers: Sequence[str], rows: Sequence[dict],
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _emit(cfg: RunConfig, rows: Sequence[dict],
+def _emit(args: argparse.Namespace, rows: Sequence[dict],
           summary: Optional[dict] = None) -> int:
-    headers = HEADERS[cfg.command]
-    if cfg.format == "csv":
+    headers = HEADERS[args.command]
+    if args.format == "csv":
         text = render_csv(headers, rows, summary)
     else:
-        text = render_json(cfg.command, headers, rows, summary)
-    if cfg.output_path:
+        text = render_json(args.command, headers, rows, summary)
+    if args.output:
         try:
-            with open(cfg.output_path, "w", encoding="utf-8", newline="") as fh:
+            with open(args.output, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
         except OSError as exc:
-            print(f"error: cannot write {cfg.output_path}: {exc}",
+            print(f"error: cannot write {args.output}: {exc}",
                   file=sys.stderr)
             return EXIT_IO
     else:
@@ -137,7 +124,7 @@ def _emit(cfg: RunConfig, rows: Sequence[dict],
     return EXIT_OK
 
 
-def cmd_dihedral(cfg: RunConfig) -> int:
+def cmd_dihedral(args: argparse.Namespace) -> int:
     def row(r: int) -> dict:
         s = dihedral_sample(r)
         return {
@@ -145,34 +132,35 @@ def cmd_dihedral(cfg: RunConfig) -> int:
             "alpha_G": s.alpha_G, "p_min": dihedral.min_split_prime(s.n),
         }
 
-    rows = _map_ordered(row, range(cfg.r_min, cfg.r_max + 1), cfg.workers)
-    return _emit(cfg, rows)
+    rows = _map_ordered(row, range(args.r_min, args.r_max + 1), args.workers)
+    return _emit(args, rows)
 
 
-def cmd_cyclotomic(cfg: RunConfig) -> int:
-    def row(r: int) -> dict:
-        inst = cyclotomic.build_D(1 << r, cfg.alpha)
+def cmd_cyclotomic(args: argparse.Namespace) -> int:
+    def row(member: tuple) -> dict:
+        inst, pi_D = member
         return {
-            "r": r, "n": inst.n, "T": inst.T, "D_size": inst.D_size,
-            "density": cyclotomic.density_ratio(inst),
-            "pi_D_at_T": cyclotomic.pi_D_cyclotomic(inst, inst.T),
+            "r": inst.r, "n": inst.n, "T": inst.T, "D_size": inst.D_size,
+            "density": cyclotomic.density_ratio(inst), "pi_D_at_T": pi_D,
         }
 
-    rows = _map_ordered(row, range(cfg.r_min, cfg.r_max + 1), cfg.workers)
-    return _emit(cfg, rows)
+    family = cyclotomic.measure_family(
+        [1 << r for r in range(args.r_min, args.r_max + 1)], args.alpha)
+    rows = _map_ordered(row, family, args.workers)
+    return _emit(args, rows)
 
 
-def cmd_falsify(cfg: RunConfig) -> int:
-    rs = range(cfg.r_min, cfg.r_max + 1)
-    if cfg.family == "dihedral":
-        samples = _map_ordered(dihedral_sample, rs, cfg.workers)
+def cmd_falsify(args: argparse.Namespace) -> int:
+    rs = range(args.r_min, args.r_max + 1)
+    if args.family == "dihedral":
+        samples = _map_ordered(dihedral_sample, rs, args.workers)
     else:
-        samples = _map_ordered(lambda r: cyclotomic_sample(r, cfg.alpha),
-                               rs, cfg.workers)
+        family = cyclotomic.measure_family([1 << r for r in rs], args.alpha)
+        samples = _map_ordered(_cyclotomic_sample, family, args.workers)
     try:
-        fam = bounds.BoundFamily(cfg.variant, cfg.a, cfg.b, cfg.epsilon)
+        fam = bounds.BoundFamily(args.variant, args.a, args.b, args.epsilon)
         report = bounds.falsification_scan(fam, samples,
-                                           range_alpha=cfg.range_alpha)
+                                           range_alpha=args.range_alpha)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -185,11 +173,11 @@ def cmd_falsify(cfg: RunConfig) -> int:
         for row in report.rows
     ]
     summary = {
-        "family": cfg.family,
-        "variant": cfg.variant,
-        "a": cfg.a,
-        "b": cfg.b,
-        "epsilon": cfg.epsilon,
+        "family": args.family,
+        "variant": args.variant,
+        "a": args.a,
+        "b": args.b,
+        "epsilon": args.epsilon,
         "range_alpha": report.range_alpha,
         "slope_threshold": report.slope_threshold,
         "ratio_threshold": report.ratio_threshold,
@@ -199,15 +187,15 @@ def cmd_falsify(cfg: RunConfig) -> int:
         "range_waived_r": [row.n.bit_length() - 1
                            for row in report.rows if row.range_waived],
     }
-    return _emit(cfg, rows, summary)
+    return _emit(args, rows, summary)
 
 
-def cmd_serre(cfg: RunConfig) -> int:
+def cmd_serre(args: argparse.Namespace) -> int:
     def point(r: int) -> tuple:
         n = 1 << r
         return n, dihedral.min_split_prime(n)
 
-    points = _map_ordered(point, range(cfg.r_min, cfg.r_max + 1), cfg.workers)
+    points = _map_ordered(point, range(args.r_min, args.r_max + 1), args.workers)
     try:
         fit = bounds.serre_fit(points)
     except ValueError as exc:
@@ -225,7 +213,7 @@ def cmd_serre(cfg: RunConfig) -> int:
         "constant_c": fit.constant_c,
         "low_confidence": fit.low_confidence,
     }
-    return _emit(cfg, rows, summary)
+    return _emit(args, rows, summary)
 
 
 def _trial_prime_count(x: int) -> int:
@@ -244,46 +232,46 @@ def _trial_prime_count(x: int) -> int:
     return len(primes)
 
 
-def cmd_sieve_check(cfg: RunConfig) -> int:
+def cmd_sieve_check(args: argparse.Namespace) -> int:
     rows = []
 
     def record(check: str, ok: bool, detail: str) -> None:
         rows.append({"check": check, "status": "PASS" if ok else "FAIL",
                      "detail": detail})
 
-    cap = min(cfg.limit, 1 << 22)
+    cap = min(args.limit, 1 << 22)
     whole = sieve.sieve_range(0, cap, segment_odds=1 << 21)
     pieces = [sieve.sieve_range(0, cap, segment_odds=so) for so in (4096, 8191)]
     ok = all(piece.flags == whole.flags for piece in pieces)
     record("segment-independence", ok,
            f"limit={cap} segmentations=2097152;4096;8191")
 
-    trial_cap = min(cfg.limit, 10 ** 6)
+    trial_cap = min(args.limit, 10 ** 6)
     got = sieve.prime_count(trial_cap)
     want = _trial_prime_count(trial_cap)
     record("trial-division-equivalence", got == want,
            f"x={trial_cap} sieve={got} trial={want}")
 
-    q = cfg.q
+    q = args.q
     coprime_sum = sum(
-        sieve.primes_in_ap_count(cfg.limit, q, d)
+        sieve.primes_in_ap_count(args.limit, q, d)
         for d in range(q) if math.gcd(d, q) == 1
     )
     divisor_primes = sum(
-        1 for p in range(2, q + 1) if q % p == 0 and p < cfg.limit
+        1 for p in range(2, q + 1) if q % p == 0 and p < args.limit
         and all(p % d for d in range(2, math.isqrt(p) + 1))
     )
-    total = sieve.prime_count(cfg.limit)
+    total = sieve.prime_count(args.limit)
     record("ap-partition", coprime_sum + divisor_primes == total,
-           f"x={cfg.limit} q={q} coprime={coprime_sum} "
+           f"x={args.limit} q={q} coprime={coprime_sum} "
            f"divisors={divisor_primes} total={total}")
 
-    xs = sorted({2, 10, 100, 1000, cfg.limit // 2, cfg.limit})
+    xs = sorted({2, 10, 100, 1000, args.limit // 2, args.limit})
     counts = [sieve.prime_count(x) for x in xs]
     ok = all(a <= b for a, b in zip(counts, counts[1:]))
     record("monotonicity", ok, "counts=" + ";".join(map(str, counts)))
 
-    code = _emit(cfg, rows)
+    code = _emit(args, rows)
     if code != EXIT_OK:
         return code
     return EXIT_OK if all(r["status"] == "PASS" for r in rows) else EXIT_FAILURE
@@ -335,6 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "in one thread, and output is identical for any "
                         "value (default 1)")
 
+    parser.set_defaults(family=None)        # only falsify takes --family
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="COMMAND")
     sub.add_parser("dihedral", parents=[common],
@@ -361,82 +350,63 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate(cfg: RunConfig) -> Optional[str]:
-    if cfg.r_min < 2:
+def _validate(args: argparse.Namespace) -> Optional[str]:
+    if args.r_min < 2:
         return "--r-min must be at least 2"
-    if cfg.r_min > cfg.r_max:
+    if args.r_min > args.r_max:
         return "--r-min must not exceed --r-max"
-    if cfg.workers < 1:
+    if args.workers < 1:
         return "--workers must be at least 1"
-    needs_alpha = cfg.command == "cyclotomic" or (
-        cfg.command == "falsify" and cfg.family == "cyclotomic")
-    if needs_alpha and not 0.0 < cfg.alpha < 1.0:
-        return f"--alpha must lie in (0, 1), got {cfg.alpha}"
-    if cfg.command == "falsify":
-        if cfg.epsilon <= 0:
+    needs_alpha = args.command == "cyclotomic" or args.family == "cyclotomic"
+    if needs_alpha and not 0.0 < args.alpha < 1.0:
+        return f"--alpha must lie in (0, 1), got {args.alpha}"
+    if args.command == "falsify":
+        if args.epsilon <= 0:
             return "--epsilon must be positive"
-        if cfg.range_alpha < 0:
+        if args.range_alpha < 0:
             return "--range-alpha must be nonnegative"
-        if cfg.r_max - cfg.r_min < 2:
+        if args.r_max - args.r_min < 2:
             return "falsification scan needs at least 3 values of r"
-    if cfg.command == "serre" and cfg.r_max - cfg.r_min < 1:
+    if args.command == "serre" and args.r_max - args.r_min < 1:
         return "serre fit needs at least 2 values of r"
-    if cfg.command == "sieve-check":
-        if cfg.limit < 10:
+    if args.command == "sieve-check":
+        if args.limit < 10:
             return "--limit must be at least 10"
-        if cfg.q < 1:
+        if args.q < 1:
             return "--q must be a positive integer"
     return None
 
 
-def _resource_problem(cfg: RunConfig) -> Optional[str]:
+def _resource_problem(args: argparse.Namespace) -> Optional[str]:
     """Why the command would exceed a resource guard, or None.
 
     sieve-check is bounded by its sieve extent, the cyclotomic commands by
     the bytes they hold at r_max; the dihedral commands sieve nothing and
     are bounded by the exact primality test instead.
     """
-    if cfg.command == "sieve-check" and cfg.limit > SIEVE_GUARD:
-        return (f"configuration would sieve up to {cfg.limit}, beyond the "
+    if args.command == "sieve-check" and args.limit > SIEVE_GUARD:
+        return (f"configuration would sieve up to {args.limit}, beyond the "
                 f"2^40 resource guard")
-    if cfg.command == "cyclotomic" or cfg.family == "cyclotomic":
-        held = cyclotomic.peak_bytes(1 << cfg.r_max, cfg.alpha)
+    if args.command == "cyclotomic" or args.family == "cyclotomic":
+        held = cyclotomic.peak_bytes(1 << args.r_max, args.alpha)
         if held > MEMORY_BUDGET:
-            return (f"r = {cfg.r_max} would hold about {held} bytes, beyond "
+            return (f"r = {args.r_max} would hold about {held} bytes, beyond "
                     f"the memory budget of 2^31 = {MEMORY_BUDGET} bytes")
     return None
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        r_min=args.r_min,
-        r_max=args.r_max,
-        alpha=args.alpha,
-        range_alpha=args.range_alpha,
-        variant=args.variant,
-        a=args.a,
-        b=args.b,
-        epsilon=args.epsilon,
-        output_path=args.output,
-        format=args.format,
-        workers=args.workers,
-        family=getattr(args, "family", None),
-        limit=getattr(args, "limit", 10 ** 6),
-        q=getattr(args, "q", 12),
-    )
-    problem = _validate(cfg)
+    args = build_parser().parse_args(argv)
+    problem = _validate(args)
     if problem is not None:
         print(f"error: {problem}", file=sys.stderr)
         return EXIT_USAGE
-    problem = _resource_problem(cfg)
+    problem = _resource_problem(args)
     if problem is not None:
         print(f"error: {problem}", file=sys.stderr)
         return EXIT_RESOURCE
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command](args)
     except dihedral.SearchLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE

@@ -9,9 +9,10 @@ The odd integer 2k + 1 lies in the class with index k mod n.  So the
 packed odd flags below a bound (sieve.odd_flags_below), cut into rows of
 n bits, put every prime of one class in the same bit column: OR-ing the
 rows gives the classes hit, and AND-ing the rows with D counts the primes
-in D.  For n = 4 a row is one byte, two periods.  Nothing is unpacked but
-D itself, a bitmap of n bytes; the flags cost one bit per odd integer
-below the largest bound.
+in D.  For n = 4 a row is one byte, two periods.  A family
+(measure_family) is sieved once, below its largest T, and each member
+reads its prefix of those flags; nothing is kept between calls.  Nothing
+is unpacked but D itself, a bitmap of n bytes.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -68,50 +70,83 @@ def frobenius_class(p: int, q: int) -> int:
     return p % q
 
 
+def measure_family(
+    ns: Iterable[int], alpha: float,
+) -> Iterator[tuple[CyclotomicInstance, int]]:
+    """Yield (member, pi_D(T)) for each n in turn, from one sieve.
+
+    The odd flags below the largest T are sieved once, and each member
+    folds and counts its own prefix of them.  No member is held here
+    while the next one is built.
+    """
+    ns = list(ns)
+    for n in ns:
+        _validate_n(n)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    Ts = [n * math.log(n) ** alpha for n in ns]
+    flags = np.frombuffer(sieve.odd_flags_below(max(Ts, default=0)).flags,
+                          dtype=np.uint8)
+    for n, T in zip(ns, Ts):
+        yield _member(n, alpha, T, flags)
+
+
+def _member(n: int, alpha: float, T: float,
+            flags: np.ndarray) -> tuple[CyclotomicInstance, int]:
+    """Member n and pi_D(T), from packed odd flags that reach at least T."""
+    bits = math.ceil(T) // 2    # odd integers below T
+    width = max(n, 8) // 8      # bytes per row: n bits, one byte for n = 4
+    size, rem = divmod(bits, 8)
+    full = size - size % width
+    hit = np.bitwise_or.reduce(flags[:full].reshape(-1, width), axis=0)
+    hit[:size - full] |= flags[full:size]
+    if rem:
+        hit[size - full] |= flags[size] & ((1 << rem) - 1)
+    mask = np.unpackbits(~hit, count=n, bitorder="little").view(bool)
+    inst = CyclotomicInstance(
+        r=n.bit_length() - 1, n=n, q=2 * n, alpha=alpha, T=T, mask=mask,
+    )
+    return inst, _count_in_D(inst, flags, bits)
+
+
+def _count_in_D(inst: CyclotomicInstance, flags: np.ndarray, bits: int) -> int:
+    """Set bits among the first `bits` of flags whose class lies in D."""
+    row = np.packbits(inst.mask, bitorder="little")
+    if inst.n == 4:
+        row |= row << 4
+    in_D = np.resize(row, -(-bits // 8))
+    in_D &= flags[:in_D.size]
+    if bits % 8:
+        in_D[-1] &= (1 << bits % 8) - 1
+    return int.from_bytes(in_D, "little").bit_count()
+
+
 def build_D(n: int, alpha: float) -> CyclotomicInstance:
     """Construct D = odd residues mod 2n hit by no prime below T.
 
-    The threshold T = n * log(n)^alpha stays a real; primes are compared
-    with strict p < T and no rounding.
+    The family of one.  The threshold T = n * log(n)^alpha stays a real;
+    primes are compared with strict p < T and no rounding.
     """
-    _validate_n(n)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    q = 2 * n
-    T = n * math.log(n) ** alpha
-    flags = np.frombuffer(sieve.odd_flags_below(T).flags, dtype=np.uint8)
-    width = max(n, 8) // 8      # bytes per row: n bits, one byte for n = 4
-    full = flags.size - flags.size % width
-    hit = np.bitwise_or.reduce(flags[:full].reshape(-1, width), axis=0)
-    hit[:flags.size - full] |= flags[full:]
-    if n == 4:
-        hit |= hit >> 4         # odd index k lies in class k mod 4
-    mask = np.unpackbits(~hit, count=n, bitorder="little").view(bool)
-    return CyclotomicInstance(
-        r=n.bit_length() - 1, n=n, q=q, alpha=alpha, T=T, mask=mask,
-    )
+    return next(measure_family([n], alpha))[0]
 
 
 def pi_D_cyclotomic(inst: CyclotomicInstance, x: float) -> int:
     """Number of odd primes p < x with p mod q in D; 2 is excluded."""
     flags = np.frombuffer(sieve.odd_flags_below(x).flags, dtype=np.uint8)
-    row = np.packbits(inst.mask, bitorder="little")
-    if inst.n == 4:
-        row |= row << 4
-    in_D = np.resize(row, flags.size)
-    in_D &= flags
-    return int.from_bytes(in_D, "little").bit_count()
+    return _count_in_D(inst, flags, 8 * flags.size)
 
 
 def peak_bytes(n: int, alpha: float) -> int:
     """Upper bound on the bytes held at once to build D for n and count pi_D(T).
 
-    D as n bytes and its packed forms (n/4 more); four times the flag
-    table below T, in whole segments (the table, the prefix read from it,
-    the AND with D and the integer that counts it; while the table grows,
-    the old table, the new segments and their join); and one sieve
-    segment's workspace.  T is kept as an exact rational, so no n
-    overflows a float.
+    D as n bytes and its packed forms (n/4 more); four times the flags
+    below T, in whole segments (the flags the family reads, the AND with
+    D, and the bytes and the integer that count it; while the flags are
+    gathered, the buffer and its bytes copy); and one sieve segment's
+    workspace, charged at 3 bytes per odd integer where the sieve uses
+    1.25.  T is kept as an exact rational, so no n overflows a float.
+    The family holds the flags below its largest T, so the bound at its
+    largest n covers every member.
     """
     step = 2 * sieve.SEGMENT_ODDS
     segments = math.ceil(n * Fraction(math.log(n) ** alpha) / step)

@@ -5,13 +5,12 @@ query layer.  Every segment is sieved against all base primes below
 sqrt(hi), so any segmentation of the same interval produces identical
 flag bytes.
 
-Callers that need the flags below a bound read them from one per-process
-table (odd_flags_below), one bit per odd integer.  The table only grows,
-one aligned segment [k * 2 * SEGMENT_ODDS, (k + 1) * 2 * SEGMENT_ODDS) at
-a time, so every prime is sieved once per process, and the disk-cache
-keys it produces do not depend on the order or the threads of the
-requests.  Cache files end in a CRC-32 of header and payload, so a
-damaged file is recomputed rather than read.
+The module holds no state between calls.  Counts below x and the flags
+below x (odd_flags_below) walk the same aligned segments
+[k * 2 * SEGMENT_ODDS, (k + 1) * 2 * SEGMENT_ODDS), whole ones only, so
+the disk-cache keys do not depend on x or on which count asked.  Cache
+files end in a CRC-32 of header and payload, so a damaged file is
+recomputed rather than read.
 """
 
 from __future__ import annotations
@@ -102,12 +101,10 @@ def _base_odd_primes(limit: int) -> np.ndarray:
     return np.flatnonzero(mask)[1:].astype(np.int64)  # drop 2
 
 
-def _sieve_segment(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
-    """Boolean primality over the odd integers in [lo, hi)."""
-    count = _odds_in(lo, hi)
-    mask = np.ones(count, dtype=bool)
-    if count == 0:
-        return mask
+def _sieve_segment(mask: np.ndarray, lo: int, hi: int, base: np.ndarray) -> None:
+    """Strike the odd composites in [lo, hi) from mask, one bool per odd integer."""
+    if mask.size == 0:
+        return
     first = lo | 1
     if first == 1:
         mask[0] = False
@@ -124,7 +121,6 @@ def _sieve_segment(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
             continue
         # consecutive odd multiples of p differ by 2p: stride p in odd-index space
         mask[(start - first) // 2 :: p] = False
-    return mask
 
 
 def _cache_path(cache_dir: str, lo: int, hi: int) -> str:
@@ -197,14 +193,12 @@ def sieve_range(lo: int, hi: int, segment_odds: int = SEGMENT_ODDS) -> PrimeRang
         return PrimeRange(lo, hi, cached)
 
     base = _base_odd_primes(math.isqrt(hi - 1)) if hi > 1 else np.empty(0, np.int64)
-    parts = []
-    step = 2 * segment_odds
-    seg_lo = lo
-    while seg_lo < hi:
-        seg_hi = min(seg_lo + step, hi)
-        parts.append(_sieve_segment(seg_lo, seg_hi, base))
-        seg_lo = seg_hi
-    mask = np.concatenate(parts) if parts else np.zeros(0, dtype=bool)
+    mask = np.ones(_odds_in(lo, hi), dtype=bool)
+    for seg_lo in range(lo, hi, 2 * segment_odds):
+        seg_hi = min(seg_lo + 2 * segment_odds, hi)
+        start = _odds_in(lo, seg_lo)
+        _sieve_segment(mask[start:start + _odds_in(seg_lo, seg_hi)],
+                       seg_lo, seg_hi, base)
     flags = np.packbits(mask, bitorder="little").tobytes()
     _cache_store(lo, hi, flags)
     return PrimeRange(lo, hi, flags)
@@ -217,17 +211,22 @@ def _check_count_limit(x: float) -> None:
         raise OverflowError(f"x={x} exceeds the 2**63 sieve limit")
 
 
+def _aligned_segments(limit: int) -> Iterator[PrimeRange]:
+    """Sieve, in order, the whole aligned segments that cover [0, limit)."""
+    step = 2 * SEGMENT_ODDS
+    for lo in range(0, limit, step):
+        yield sieve_range(lo, lo + step)
+
+
 def prime_count(x: float) -> int:
     """Number of primes strictly below x."""
     _check_count_limit(x)
     if x <= 2:
         return 0
     limit = math.ceil(x)
-    total = 1  # the prime 2
-    for seg_lo in range(0, limit, 2 * SEGMENT_ODDS):
-        seg = sieve_range(seg_lo, min(seg_lo + 2 * SEGMENT_ODDS, limit))
-        total += seg.count_odd_primes()
-    return total
+    # 1 for the prime 2
+    return 1 + sum(seg.count_odd_primes(limit)
+                   for seg in _aligned_segments(limit))
 
 
 def primes_in_ap_count(x: float, q: int, d: int) -> int:
@@ -241,11 +240,29 @@ def primes_in_ap_count(x: float, q: int, d: int) -> int:
         return 0
     limit = math.ceil(x)
     total = 1 if 2 % q == d else 0
-    for seg_lo in range(0, limit, 2 * SEGMENT_ODDS):
-        seg = sieve_range(seg_lo, min(seg_lo + 2 * SEGMENT_ODDS, limit))
+    for seg in _aligned_segments(limit):
         odds = seg.odd_primes()
-        total += int(np.count_nonzero(odds % q == d))
+        total += int(np.count_nonzero(odds[odds < limit] % q == d))
     return total
+
+
+def odd_flags_below(x: float) -> PrimeRange:
+    """Packed odd-primality flags of [0, ceil(x)), from aligned segments.
+
+    Padding bits at or above ceil(x) are cleared, so the bytes equal
+    sieve_range(0, ceil(x)).flags.
+    """
+    _check_count_limit(x)
+    limit = math.ceil(x)
+    full, rem = divmod(_odds_in(0, limit), 8)
+    flags = bytearray(full + (rem > 0))
+    for seg in _aligned_segments(limit):
+        start = seg.lo // 16        # 16 integers, 8 of them odd, per byte
+        part = memoryview(seg.flags)[:len(flags) - start]
+        flags[start:start + len(part)] = part
+    if rem:
+        flags[-1] &= (1 << rem) - 1
+    return PrimeRange(0, limit, bytes(flags))
 
 
 def prime_chunks(lo: int, hi: int,
@@ -263,43 +280,3 @@ def prime_chunks(lo: int, hi: int,
         odds = seg.odd_primes()
         if odds.size:
             yield odds
-
-
-# Packed odd flags of [0, covered), with covered a multiple of
-# 2 * SEGMENT_ODDS.  The pair is replaced as a whole, so a reader never
-# sees a torn update.
-_table: tuple[int, bytes] = (0, b"")
-_table_lock = threading.Lock()
-
-
-def odd_flags_below(x: float) -> PrimeRange:
-    """Packed odd-primality flags of [0, ceil(x)), read from the table.
-
-    The table is first extended to cover x, one aligned segment at a
-    time.  Padding bits at or above ceil(x) are cleared, so the bytes equal
-    sieve_range(0, ceil(x)).flags.
-    """
-    global _table
-    _check_count_limit(x)
-    limit = math.ceil(x)
-    covered, flags = _table
-    if covered < limit:
-        with _table_lock:
-            covered, flags = _table
-            if covered < limit:
-                step = 2 * SEGMENT_ODDS
-                top = -(-limit // step) * step
-                flags = b"".join([flags, *(
-                    sieve_range(lo, lo + step).flags
-                    for lo in range(covered, top, step))])
-                _table = (top, flags)
-    full, rem = divmod(_odds_in(0, limit), 8)
-    tail = bytes([flags[full] & ((1 << rem) - 1)]) if rem else b""
-    return PrimeRange(0, limit, b"".join((memoryview(flags)[:full], tail)))
-
-
-def odd_primes_below(x: float) -> np.ndarray:
-    """The odd primes p < x as an increasing, read-only int64 array."""
-    primes = odd_flags_below(x).odd_primes()
-    primes.flags.writeable = False
-    return primes

@@ -13,24 +13,10 @@ sys.path.insert(0, os.path.dirname(__file__))
 # is exercised explicitly with monkeypatched directories.
 os.environ.pop("CHEB_CACHE_DIR", None)
 
-from cheblab import analytic, bounds, cyclotomic, sieve  # noqa: E402
+from cheblab import analytic, bounds, cyclotomic  # noqa: E402
 from cheblab.cli import dihedral_sample  # noqa: E402
 
 import oracles  # noqa: E402
-
-
-@pytest.fixture
-def fresh_prime_table(monkeypatch):
-    """Empty the per-process flag table for one test, as in a new process.
-
-    Returns a callable that empties it again; the table as it was is
-    restored after the test.
-    """
-    def reset() -> None:
-        monkeypatch.setattr(sieve, "_table", (0, b""))
-
-    reset()
-    return reset
 
 
 @pytest.fixture(scope="session")

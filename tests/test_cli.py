@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from cheblab import __version__, cyclotomic, dihedral
+from cheblab import __version__, cyclotomic, dihedral, sieve
 from cheblab.cli import (
     EXIT_FAILURE,
     EXIT_IO,
@@ -126,8 +127,7 @@ class TestResourceGuard:
 
     @pytest.mark.parametrize("alpha", [0.5, 0.99])
     @pytest.mark.parametrize("r", [16, 20, 22])
-    def test_peak_bytes_bound_traced_peak(self, r, alpha,
-                                          fresh_prime_table):
+    def test_peak_bytes_bound_traced_peak(self, r, alpha):
         tracemalloc.start()
         try:
             cyclotomic_sample(r, alpha)
@@ -135,6 +135,27 @@ class TestResourceGuard:
         finally:
             tracemalloc.stop()
         assert peak <= cyclotomic.peak_bytes(1 << r, alpha)
+
+    @pytest.mark.parametrize("argv", [
+        ("cyclotomic", "--r-min", "2", "--r-max", "22"),
+        ("falsify", "--family", "cyclotomic", "--range-alpha", "0.5",
+         "--r-min", "8", "--r-max", "22"),
+    ], ids=["cyclotomic", "falsify"])
+    def test_each_segment_sieved_once(self, argv, capsys, monkeypatch):
+        calls = []
+        sieve_range = sieve.sieve_range
+
+        def counted(lo, hi, *args, **kwargs):
+            calls.append((lo, hi))
+            return sieve_range(lo, hi, *args, **kwargs)
+
+        monkeypatch.setattr(sieve, "sieve_range", counted)
+        rc, _, _ = run(capsys, *argv)
+        assert rc == EXIT_OK
+        step = 2 * sieve.SEGMENT_ODDS
+        T = (1 << 22) * math.log(1 << 22) ** 0.5
+        assert calls == [(lo, lo + step)
+                         for lo in range(0, math.ceil(T), step)]
 
     def test_sieve_check_guard(self, capsys):
         rc, _, _ = run(capsys, "sieve-check", "--limit", str((1 << 40) + 1))

@@ -88,14 +88,12 @@ class TestBuildD:
         assert removed <= sieve.prime_count(inst.T)
         assert inst.D_size >= inst.n - sieve.prime_count(inst.T)
 
-    def test_repeated_build_writes_no_cache_files(self, tmp_path, monkeypatch,
-                                                  fresh_prime_table):
+    def test_repeated_build_writes_no_cache_files(self, tmp_path, monkeypatch):
         monkeypatch.setenv(sieve.CACHE_ENV, str(tmp_path))
         first = cyclotomic.build_D(1 << 12, 0.5)
         stamps = {f.name: f.stat().st_mtime_ns for f in tmp_path.iterdir()}
         assert stamps
         cyclotomic.build_D(1 << 12, 0.5)
-        fresh_prime_table()         # a new process reads the same aligned keys
         again = cyclotomic.build_D(1 << 12, 0.5)
         cyclotomic.build_D(1 << 10, 0.5)
         sieve.prime_count(2 * sieve.SEGMENT_ODDS)
@@ -108,6 +106,18 @@ class TestBuildD:
             residues = inst.residues
             assert np.all(residues % 2 == 1)
             assert np.all((residues >= 1) & (residues <= inst.q - 1))
+
+
+class TestMeasureFamily:
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.99])
+    def test_members_equal_family_of_one(self, alpha):
+        ns = [1 << r for r in range(2, 21)]
+        members = cyclotomic.measure_family(ns, alpha)
+        for n, (inst, pi_D) in zip(ns, members, strict=True):
+            one = cyclotomic.build_D(n, alpha)
+            assert (inst.n, inst.q, inst.T) == (one.n, one.q, one.T)
+            np.testing.assert_array_equal(inst.mask, one.mask)
+            assert pi_D == cyclotomic.pi_D_cyclotomic(one, one.T)
 
 
 class TestPiD:

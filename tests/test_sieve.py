@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 import threading
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -64,6 +64,17 @@ class TestSieveRange:
         one = sieve.sieve_range(lo, hi, segment_odds=1 << 20)
         many = sieve.sieve_range(lo, hi, segment_odds=segment_odds)
         assert many.flags == one.flags
+
+    def test_workspace_is_one_mask(self):
+        # one bool per odd integer and the packed flags twice: about
+        # 1.25 bytes per odd integer, not a mask and its joined copy
+        tracemalloc.start()
+        try:
+            sieve.sieve_range(0, 2 * sieve.SEGMENT_ODDS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (1 << 20)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -195,11 +206,11 @@ class TestIteratePrimes:
             self.collect(0, (1 << 63) + 2)
 
 
-STEP = 2 * sieve.SEGMENT_ODDS     # integers per aligned table segment
+STEP = 2 * sieve.SEGMENT_ODDS     # integers per aligned segment
 
 
 def streamed_odd_primes(x: float) -> np.ndarray:
-    """The odd primes below x, streamed by prime_chunks without the table."""
+    """The odd primes below x, streamed by prime_chunks."""
     chunks = list(sieve.prime_chunks(3, max(3, math.ceil(x))))
     return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
 
@@ -219,65 +230,34 @@ class TestPrimeTable:
     @example(STEP + 0.5)
     @settings(max_examples=20, deadline=None)
     def test_matches_streamed_primes(self, x):
-        got = sieve.odd_primes_below(x)
+        got = sieve.odd_flags_below(x).odd_primes()
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, streamed_odd_primes(x))
 
-    def test_examples(self, fresh_prime_table):
-        assert sieve.odd_primes_below(2).tolist() == []
-        assert sieve.odd_primes_below(3).tolist() == []
-        assert sieve.odd_primes_below(3.5).tolist() == [3]
-        assert sieve.odd_primes_below(30).tolist() == \
-            oracles.trial_primes_below(30)[1:]
-        assert sieve.odd_primes_below(29).tolist()[-1] == 23   # strict p < x
+    def test_examples(self):
+        def below(x):
+            return sieve.odd_flags_below(x).odd_primes().tolist()
 
-    def test_order_independence(self, fresh_prime_table):
+        assert below(2) == []
+        assert below(3) == []
+        assert below(3.5) == [3]
+        assert below(30) == oracles.trial_primes_below(30)[1:]
+        assert below(29)[-1] == 23      # strict p < x
+
+    def test_order_independence(self):
+        def below(x):
+            return sieve.odd_flags_below(x).odd_primes()
+
         xs = (10.5, STEP - 0.5, float(STEP), STEP + 1, 2 * STEP + 0.5)
-        ascending = [sieve.odd_primes_below(x).copy() for x in xs]
-        descending = [sieve.odd_primes_below(x) for x in reversed(xs)][::-1]
-        fresh_prime_table()
-        descending_first = [sieve.odd_primes_below(x)
-                            for x in reversed(xs)][::-1]
+        ascending = [below(x).copy() for x in xs]
+        descending = [below(x) for x in reversed(xs)][::-1]
+        descending_first = [below(x) for x in reversed(xs)][::-1]
         for a, d, f in zip(ascending, descending, descending_first):
             np.testing.assert_array_equal(d, a)
             np.testing.assert_array_equal(f, a)
 
-    def test_threads_sieve_each_segment_once(self, fresh_prime_table,
-                                             monkeypatch):
-        calls = []
-        sieve_range = sieve.sieve_range
-
-        def counted(lo, hi, *args, **kwargs):
-            calls.append((lo, hi))
-            return sieve_range(lo, hi, *args, **kwargs)
-
-        monkeypatch.setattr(sieve, "sieve_range", counted)
-        # four requesters and a short switch interval, so they interleave
-        xs = (100.5, STEP + 0.5, 2 * STEP - 7, float(2 * STEP))
-        barrier = threading.Barrier(len(xs), timeout=60)
-        results = {}
-
-        def request(x):
-            barrier.wait()
-            results[x] = sieve.odd_flags_below(x)
-
-        threads = [threading.Thread(target=request, args=(x,)) for x in xs]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert sorted(calls) == [(0, STEP), (STEP, 2 * STEP)]
-        for x in xs:
-            assert results[x].flags == sieve_range(0, math.ceil(x)).flags
-
     @pytest.mark.parametrize("order", ["ascending", "descending"])
-    def test_flags_equal_sieve_range(self, fresh_prime_table, order):
+    def test_flags_equal_sieve_range(self, order):
         xs = [0, 1, 2, 3, 3.5] + [k * STEP + d for k in (1, 2, 3)
                                   for d in (-0.5, 0.5)]
         if order == "descending":
@@ -288,16 +268,11 @@ class TestPrimeTable:
             assert (got.lo, got.hi) == (0, math.ceil(x)), x
             assert got.flags == want.flags, x
 
-    def test_slices_are_read_only(self):
-        primes = sieve.odd_primes_below(100)
-        with pytest.raises(ValueError):
-            primes[0] = 4
-
     def test_validation(self):
         with pytest.raises(ValueError):
-            sieve.odd_primes_below(-1)
+            sieve.odd_flags_below(-1)
         with pytest.raises(OverflowError):
-            sieve.odd_primes_below(2 ** 64)
+            sieve.odd_flags_below(2 ** 64)
 
 
 class TestDiskCache:
@@ -330,8 +305,7 @@ class TestDiskCache:
         assert sieve.sieve_range(0, 2000).flags == clean.flags
         assert path.read_bytes() == self._expected_bytes(0, 2000, clean.flags)
 
-    def test_flipped_payload_bit_recomputed(self, tmp_path, monkeypatch,
-                                            fresh_prime_table):
+    def test_flipped_payload_bit_recomputed(self, tmp_path, monkeypatch):
         monkeypatch.setenv(sieve.CACHE_ENV, str(tmp_path))
         clean = cyclotomic.build_D(1 << 12, 0.5)
         # no prime below T is 1 mod 2^13, so marking 1 prime would drop
@@ -342,7 +316,6 @@ class TestDiskCache:
         data = bytearray(good)
         data[21] ^= 1               # payload bit 0: the odd integer 1
         path.write_bytes(bytes(data))
-        fresh_prime_table()
         assert cyclotomic.build_D(1 << 12, 0.5).D_size == clean.D_size
         assert path.read_bytes() == good
 
@@ -350,14 +323,17 @@ class TestDiskCache:
         monkeypatch.setenv(sieve.CACHE_ENV, str(tmp_path))
         replace = os.replace
         sources = []
+        # both writers wait here, so both are alive when each names its
+        # file: a thread id is unique only among live threads
+        both = threading.Barrier(2, timeout=60)
 
         def recorded(src, dst):
             sources.append(src)
+            both.wait()
             replace(src, dst)
 
-        monkeypatch.setattr(sieve.os, "replace", recorded)
         flags = sieve.sieve_range(0, 1000).flags
-        sources.clear()
+        monkeypatch.setattr(sieve.os, "replace", recorded)
         threads = [threading.Thread(target=sieve._cache_store,
                                     args=(0, 1000, flags))
                    for _ in range(2)]
