@@ -52,7 +52,7 @@ from .sieve import (
     sieve_range,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "BOUNDED",

@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple
 
-import numpy as np
-
 VARIANTS = ("C", "Cprime", "FG")
 FAMILIES = ("dihedral", "cyclotomic")
 
@@ -155,6 +153,20 @@ def range_check(s: ChebotarevSample, range_alpha: float) -> bool:
     return s.x > s.n * math.log(s.n) ** range_alpha
 
 
+def _line_fit(xs: Sequence[float], ys: Sequence[float]) -> Tuple[float, float]:
+    """Least-squares slope and intercept of the line ys = slope * xs + c.
+
+    The closed form about the means, each sum taken by math.fsum; the xs
+    must not all be equal.
+    """
+    x_mean = math.fsum(xs) / len(xs)
+    y_mean = math.fsum(ys) / len(ys)
+    dx = [x - x_mean for x in xs]
+    slope = (math.fsum(d * (y - y_mean) for d, y in zip(dx, ys))
+             / math.fsum(d * d for d in dx))
+    return slope, y_mean - slope * x_mean
+
+
 def falsification_scan(
     f: BoundFamily,
     samples: Sequence[ChebotarevSample],
@@ -194,11 +206,12 @@ def falsification_scan(
         if den <= 0:
             raise ValueError("bound denominator must be positive")
         rows.append(ScanRow(s.n, s.x, err, den, err / den, waived))
-    consts = np.array([row.constant for row in rows])
-    if np.any(consts <= 0):
+    consts = [row.constant for row in rows]
+    if any(c <= 0 for c in consts):
         raise ValueError("implied constants must be positive for a log-log fit")
-    slope = float(np.polyfit(np.log(ns), np.log(consts), 1)[0])
-    ratio = float(consts[-1] / consts[0])
+    slope, _ = _line_fit([math.log(n) for n in ns],
+                         [math.log(c) for c in consts])
+    ratio = consts[-1] / consts[0]
     verdict = (
         DIVERGES
         if slope > slope_threshold and ratio > ratio_threshold
@@ -228,12 +241,11 @@ def serre_fit(points: Iterable[Tuple[int, int]]) -> SerreFit:
     ns = [n for n, _ in pts]
     if len(set(ns)) != len(pts):
         raise ValueError("duplicate n values make the fit degenerate")
-    # as floats: an int list above 2^64 would make an object array
-    logs = np.log(np.array(pts, dtype=float))
-    e, logc = np.polyfit(logs[:, 0], logs[:, 1], 1)
+    e, logc = _line_fit([math.log(n) for n, _ in pts],
+                        [math.log(p) for _, p in pts])
     return SerreFit(
-        exponent_e=float(e),
-        constant_c=float(math.exp(logc)),
+        exponent_e=e,
+        constant_c=math.exp(logc),
         points=pts,
         low_confidence=len(pts) < 3,
     )

@@ -11,6 +11,11 @@ below x (odd_flags_below) walk the same aligned segments
 the disk-cache keys do not depend on x or on which count asked.  Cache
 files end in a CRC-32 of header and payload, so a damaged file is
 recomputed rather than read.
+
+numpy is the sieve's kernel and is imported only where it is used: to
+sieve a segment the cache does not hold, and by the helpers that return
+arrays (PrimeRange.odd_primes, prime_chunks, primes_in_ap_count).  A
+cache hit, the counts and odd_flags_below are pure bytes and ints.
 """
 
 from __future__ import annotations
@@ -20,9 +25,10 @@ import os
 import threading
 import zlib
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 SEGMENT_ODDS = 1 << 20          # odd entries per segment: cache-resident inner loop
 MAX_SEGMENTS_PER_RANGE = 256    # cap on materialized ranges; stream wider ones
@@ -82,6 +88,8 @@ class PrimeRange:
 
     def odd_primes(self) -> np.ndarray:
         """The odd primes in [lo, hi) as an int64 array, increasing."""
+        import numpy as np
+
         packed = np.frombuffer(self.flags, dtype=np.uint8)
         bits = np.unpackbits(packed, count=self.odd_count, bitorder="little")
         # the bits are 0 or 1, and flatnonzero scans bool several times faster
@@ -91,6 +99,8 @@ class PrimeRange:
 
 def _base_odd_primes(limit: int) -> np.ndarray:
     """Odd primes <= limit via a dense in-memory sieve (limit <= sqrt(2^63))."""
+    import numpy as np
+
     if limit < 3:
         return np.empty(0, dtype=np.int64)
     mask = np.ones(limit + 1, dtype=bool)
@@ -192,7 +202,9 @@ def sieve_range(lo: int, hi: int, segment_odds: int = SEGMENT_ODDS) -> PrimeRang
     if cached is not None:
         return PrimeRange(lo, hi, cached)
 
-    base = _base_odd_primes(math.isqrt(hi - 1)) if hi > 1 else np.empty(0, np.int64)
+    import numpy as np
+
+    base = _base_odd_primes(math.isqrt(hi - 1) if hi > 1 else 0)
     mask = np.ones(_odds_in(lo, hi), dtype=bool)
     for seg_lo in range(lo, hi, 2 * segment_odds):
         seg_hi = min(seg_lo + 2 * segment_odds, hi)
@@ -238,6 +250,8 @@ def primes_in_ap_count(x: float, q: int, d: int) -> int:
     _check_count_limit(x)
     if x <= 2:
         return 0
+    import numpy as np
+
     limit = math.ceil(x)
     total = 1 if 2 % q == d else 0
     for seg in _aligned_segments(limit):
@@ -268,6 +282,8 @@ def odd_flags_below(x: float) -> PrimeRange:
 def prime_chunks(lo: int, hi: int,
                  segment_odds: int = SEGMENT_ODDS) -> Iterator[np.ndarray]:
     """Yield the primes in [lo, hi) as increasing int64 arrays."""
+    import numpy as np
+
     if lo < 0 or hi < lo:
         raise ValueError(f"need 0 <= lo <= hi, got [{lo}, {hi})")
     if hi > MAX_LIMIT:

@@ -12,6 +12,38 @@ from cheblab import analytic
 import oracles
 
 
+def numpy_rule_li(x: float) -> float:
+    """The rule of analytic.li evaluated with numpy arrays, as a reference."""
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    a, b = math.log(2.0), math.log(x)
+    edges = np.linspace(a, b, max(1, math.ceil(b - a)) + 1)
+    total = 0.0
+    for left, right in zip(edges[:-1], edges[1:]):
+        half = (right - left) / 2.0
+        u = (right + left) / 2.0 + half * nodes
+        total += half * float(np.sum(np.exp(u) / u * weights))
+    return total
+
+
+class TestRule:
+    def test_constants_are_leggauss_20(self):
+        nodes, weights = np.polynomial.legendre.leggauss(20)
+        half = analytic._GL_HALF
+        assert [x for x, _ in half] == nodes[10:].tolist()
+        assert [w for _, w in half] == weights[10:].tolist()
+        assert [-x for x, _ in reversed(half)] == nodes[:10].tolist()
+        assert [w for _, w in reversed(half)] == weights[:10].tolist()
+
+    def test_matches_numpy_evaluation(self):
+        # at x = n^2, the dihedral samples, and at x = T, the cyclotomic ones
+        xs = [float(1 << r) * (1 << r) for r in range(2, 39)]
+        xs += [(1 << r) * math.log(1 << r) ** alpha
+               for alpha in (0.1, 0.5, 0.99) for r in range(2, 30)]
+        for x in xs:
+            assert analytic.li(x) == pytest.approx(numpy_rule_li(x),
+                                                   rel=1e-15), x
+
+
 class TestLi:
     @pytest.mark.parametrize("x,expected",
                              sorted(oracles.LI_HIGH_PRECISION.items()))

@@ -282,6 +282,14 @@ class TestFalsificationScan:
         assert strict.verdict == bounds.BOUNDED
         assert strict.slope_threshold == 0.25
 
+    def test_slope_agrees_with_polyfit(self, dihedral_samples):
+        f = bounds.BoundFamily(variant="Cprime", a=0.0, b=-0.5, epsilon=0.01)
+        samples = [dihedral_samples[r] for r in range(4, 18)]
+        report = self.scan(f, samples)
+        slope = np.polyfit(np.log([s.n for s in samples]),
+                           np.log([row.constant for row in report.rows]), 1)[0]
+        assert abs(report.slope - slope) < 1e-12
+
     def test_report_carries_rows(self, dihedral_samples):
         f = bounds.BoundFamily("Cprime", 0.5, -0.5, 0.01)
         samples = [dihedral_samples[r] for r in range(4, 13)]
@@ -338,6 +346,23 @@ class TestSerreFit:
                                  for r in range(2, 13)])
         assert long.exponent_e == pytest.approx(1.995029, rel=1e-5)
         assert abs(long.exponent_e - 2) < abs(short.exponent_e - 2)
+
+    def test_agrees_with_polyfit(self):
+        point_sets = [
+            self.POINTS_R2_R8,
+            self.POINTS_R2_R8 + [(512, 262153), (1024, 1048601)],
+            [(1 << r, dihedral.min_split_prime(1 << r)) for r in range(2, 39)],
+            [(4, 17), (8, 73)],
+            [(1 << r, (1 << r) ** 2 + 1) for r in range(2, 7)],
+            [(1 << r, (1 << r) ** 2 + 1) for r in range(2, 13)],
+        ]
+        for pts in point_sets:
+            fit = bounds.serre_fit(pts)
+            # as floats: an int list above 2^64 would make an object array
+            logs = np.log(np.array(pts, dtype=float))
+            e, logc = np.polyfit(logs[:, 0], logs[:, 1], 1)
+            assert abs(fit.exponent_e - e) < 1e-12
+            assert abs(math.log(fit.constant_c) - logc) < 1e-12
 
 
 class TestDiscriminantBracket:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -128,6 +129,10 @@ class TestResourceGuard:
     @pytest.mark.parametrize("alpha", [0.5, 0.99])
     @pytest.mark.parametrize("r", [16, 20, 22])
     def test_peak_bytes_bound_traced_peak(self, r, alpha):
+        # A cold sieve imports numpy; its module objects are not bytes the
+        # build holds, so they are loaded before the peak is traced.
+        import numpy  # noqa: F401
+
         tracemalloc.start()
         try:
             cyclotomic_sample(r, alpha)
@@ -334,6 +339,43 @@ class TestDeterminismQuick:
                             "--workers", workers)
             runs.append(out)
         assert runs[0] == runs[1] == runs[2]
+
+
+# Makes numpy unimportable in a subprocess: any numpy import raises.
+BLOCK_NUMPY = "import sys; sys.modules['numpy'] = None; "
+
+
+class TestWithoutNumpy:
+    """Only a sieve cache miss and the array accessors may import numpy."""
+
+    @staticmethod
+    def python(*args, cache_dir=None) -> subprocess.CompletedProcess:
+        env = {k: v for k, v in os.environ.items() if k != sieve.CACHE_ENV}
+        if cache_dir is not None:
+            env[sieve.CACHE_ENV] = str(cache_dir)
+        return subprocess.run([sys.executable, *args], capture_output=True,
+                              text=True, env=env)
+
+    def test_import(self):
+        proc = self.python("-c", BLOCK_NUMPY + "import cheblab.cli")
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ("serre", "--r-min", "2", "--r-max", "12"),
+        ("falsify", "--family", "dihedral", "--r-min", "4", "--r-max", "12"),
+        ("dihedral", "--r-min", "2", "--r-max", "12"),
+        ("falsify", "--family", "cyclotomic", "--range-alpha", "0.5",
+         "--r-min", "8", "--r-max", "24"),
+    ], ids=["serre", "falsify-dihedral", "dihedral", "falsify-cyclotomic"])
+    def test_same_stdout_as_with_numpy(self, argv, tmp_path):
+        # the normal run warms the cache, so the cyclotomic run sieves nothing
+        normal = self.python("-m", "cheblab", *argv, cache_dir=tmp_path)
+        assert normal.returncode == 0, normal.stderr
+        bare = self.python("-c", BLOCK_NUMPY + "from cheblab.cli import main; "
+                           "sys.exit(main(sys.argv[1:]))", *argv,
+                           cache_dir=tmp_path)
+        assert bare.returncode == 0, bare.stderr
+        assert bare.stdout == normal.stdout
 
 
 class TestEntryPoints:

@@ -22,7 +22,7 @@ def synthetic_instance(n: int, T: float) -> cyclotomic.CyclotomicInstance:
     """
     return cyclotomic.CyclotomicInstance(
         r=n.bit_length() - 1, n=n, q=2 * n, alpha=0.5, T=T,
-        mask=np.ones(n, dtype=bool),
+        D=(1 << n) - 1,
     )
 
 
@@ -185,6 +185,32 @@ class TestFoldAgainstTrialPrimes:
         members = set(in_D)
         expected = sum(1 for p in trial_primes if 2 < p < x and p % q in members)
         assert cyclotomic.pi_D_cyclotomic(inst, x) == expected
+
+
+class TestFoldAgainstSievedPrimes:
+    """measure_family and pi_D against p % q over the sieve's primes, a
+    route that shares the sieve but not the fold.  The flags are read in
+    chunks of max(n, 2^16) bits: from n = 2^16 a chunk is one row, and
+    below it x = 10^6 reaches past the first chunk.  No x here, nor the
+    flag bytes below it, ends on a chunk, so every read ends on a partial
+    one."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.99])
+    def test_matches_residues_of_sieved_primes(self, alpha):
+        ns = [1 << r for r in (2, 8, 12, 16, 17, 18, 19, 20)]
+        top = 4 * ns[-1] * math.log(ns[-1]) ** alpha
+        primes = sieve.sieve_range(0, math.ceil(top)).odd_primes()
+        members = cyclotomic.measure_family(ns, alpha)
+        for n, (inst, pi_D) in zip(ns, members, strict=True):
+            hit = np.zeros(n, dtype=bool)
+            hit[primes[primes < inst.T] % (2 * n) // 2] = True
+            np.testing.assert_array_equal(inst.mask, ~hit)
+            assert inst.D_size == n - np.count_nonzero(hit)
+            assert pi_D == 0
+            for x in (inst.T, 4 * inst.T, 10 ** 6 + 0.5):
+                below = primes[primes < x]
+                expected = np.count_nonzero(~hit[below % (2 * n) // 2])
+                assert cyclotomic.pi_D_cyclotomic(inst, x) == expected
 
 
 class TestDensityRatio:
