@@ -7,7 +7,7 @@ error terms are compared against parameterized bound templates; diverging
 implied constants falsify a template on the tested range.
 """
 
-from .analytic import li, li_ratio_to_asymptote
+from .analytic import li
 from .bounds import (
     BOUNDED,
     DIVERGES,
@@ -30,7 +30,6 @@ from .cyclotomic import (
     CyclotomicInstance,
     build_D,
     density_ratio,
-    frobenius_class,
     measure_family,
     pi_D_cyclotomic,
 )
@@ -38,8 +37,6 @@ from .dihedral import (
     ExactBoundExceeded,
     SearchLimitExceeded,
     alpha_dihedral,
-    conjugacy_count_bruteforce,
-    is_totally_split,
     min_split_prime,
     pi_D_dihedral,
 )
@@ -52,7 +49,7 @@ from .sieve import (
     sieve_range,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "BOUNDED",
@@ -71,15 +68,11 @@ __all__ = [
     "alpha_dihedral",
     "bound_denominator",
     "build_D",
-    "conjugacy_count_bruteforce",
     "density_ratio",
     "discriminant_bracket",
     "falsification_scan",
-    "frobenius_class",
     "implied_constant",
-    "is_totally_split",
     "li",
-    "li_ratio_to_asymptote",
     "main_term",
     "measure_family",
     "min_split_prime",

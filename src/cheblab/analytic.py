@@ -54,9 +54,3 @@ def li(x: float) -> float:
                 terms.append(half * (math.exp(u) / u * weight))
     return math.fsum(terms)
 
-
-def li_ratio_to_asymptote(n: int) -> float:
-    """li(n^2) divided by its asymptote n^2 / (2 log n); tends to 1."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    return li(float(n) * n) * 2.0 * math.log(n) / (float(n) * n)

@@ -239,10 +239,12 @@ def cmd_sieve_check(args: argparse.Namespace) -> int:
         rows.append({"check": check, "status": "PASS" if ok else "FAIL",
                      "detail": detail})
 
+    # pieces narrower than a segment are never cached, so all are sieved
     cap = min(args.limit, 1 << 22)
-    whole = sieve.sieve_range(0, cap, segment_odds=1 << 21)
-    pieces = [sieve.sieve_range(0, cap, segment_odds=so) for so in (4096, 8191)]
-    ok = all(piece.flags == whole.flags for piece in pieces)
+    whole = sieve.sieve_range(0, cap).odd_primes().tolist()
+    ok = all(whole == [p for lo in range(0, cap, 2 * odds)
+                       for p in sieve.sieve_range(lo, min(lo + 2 * odds, cap))
+                       .odd_primes().tolist()] for odds in (4096, 8191))
     record("segment-independence", ok,
            f"limit={cap} segmentations=2097152;4096;8191")
 

@@ -77,15 +77,6 @@ class CyclotomicInstance:
         return bool(self.D >> (d >> 1) & 1)
 
 
-def frobenius_class(p: int, q: int) -> int:
-    """Frobenius of the odd prime p in (Z/qZ)*: the residue p mod q."""
-    if p % 2 == 0:
-        raise ValueError("p must be an odd prime (2 ramifies)")
-    if q < 8 or q & (q - 1):
-        raise ValueError(f"q must be a power of two with q >= 8, got {q}")
-    return p % q
-
-
 def measure_family(
     ns: Iterable[int], alpha: float,
 ) -> Iterator[tuple[CyclotomicInstance, int]]:

@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from typing import Iterator
 
-MAX_BRUTEFORCE_ORDER = 4096
-
 # The first 12 primes as Miller-Rabin bases decide primality exactly below
 # this bound (Sorenson and Webster, 2015).
 MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -33,25 +31,6 @@ class ExactBoundExceeded(ValueError):
 def _validate_n(n: int) -> None:
     if n < 4 or n & (n - 1):
         raise ValueError(f"n must be a power of two with n >= 4, got {n}")
-
-
-def is_totally_split(p: int, n: int) -> bool:
-    """Whether the odd prime p is of the form a^2 + n^2 b^2.
-
-    b runs from 1 to floor(sqrt(p-1)/n) and the remainder is tested for
-    being a perfect square by exact integer square root; b = 0 is
-    impossible since p = a^2 is never prime for a > 1.
-    """
-    if p % 2 == 0:
-        raise ValueError("p must be an odd prime (2 ramifies)")
-    _validate_n(n)
-    n2 = n * n
-    for b in range(1, math.isqrt(p - 1) // n + 1):
-        rem = p - n2 * b * b
-        a = math.isqrt(rem)
-        if a * a == rem:
-            return True
-    return False
 
 
 def _is_prime(m: int) -> bool:
@@ -134,35 +113,3 @@ def alpha_dihedral(n: int) -> int:
     _validate_n(n)
     return n // 4 + 3
 
-
-def conjugacy_count_bruteforce(n: int) -> int:
-    """Conjugacy classes of the dihedral group of order n, by orbit scan.
-
-    Elements are pairs (rotation index mod n/2, reflection flag); serves
-    as an independent oracle for alpha_dihedral.
-    """
-    if n < 4 or n % 2:
-        raise ValueError(f"group order must be even and >= 4, got {n}")
-    if n > MAX_BRUTEFORCE_ORDER:
-        raise ValueError(f"order {n} above brute-force cap {MAX_BRUTEFORCE_ORDER}")
-    m = n // 2
-
-    def mul(g, h):
-        gi, gs = g
-        hi, hs = h
-        # reflections conjugate the rotation subgroup by inversion
-        return ((gi + hi) % m if gs == 0 else (gi - hi) % m, gs ^ hs)
-
-    def inv(g):
-        gi, gs = g
-        return ((-gi) % m, 0) if gs == 0 else g
-
-    elements = [(i, s) for s in (0, 1) for i in range(m)]
-    seen = set()
-    classes = 0
-    for g in elements:
-        if g in seen:
-            continue
-        classes += 1
-        seen.update(mul(mul(h, g), inv(h)) for h in elements)
-    return classes

@@ -1,25 +1,23 @@
 """Segmented, odd-only sieve of Eratosthenes with packed primality flags.
 
 Flags carry one bit per odd integer; the prime 2 is reintroduced by the
-query layer.  Every segment is sieved against all base primes below
-sqrt(hi), so any segmentation of the same interval produces identical
-flag bytes.
-
-The module holds no state between calls.  Counts below x and the flags
-below x (odd_flags_below) walk the same aligned segments
-[k * 2 * SEGMENT_ODDS, (k + 1) * 2 * SEGMENT_ODDS), whole ones only, so
-the disk-cache keys do not depend on x or on which count asked.  Cache
-files end in a CRC-32 of header and payload, so a damaged file is
-recomputed rather than read.
+query layer.  sieve_range strikes one mask for [lo, hi) against all base
+primes below sqrt(hi).  The counts, odd_flags_below and prime_chunks walk
+whole aligned segments [k * 2 * SEGMENT_ODDS, (k + 1) * 2 * SEGMENT_ODDS),
+and only those are cached on disk, so the cache keys do not depend on x
+or on which reader asked.  Cache files end in a CRC-32 of header and
+payload, so a damaged file is recomputed rather than read.  The module
+holds no state between calls.
 
 numpy is the sieve's kernel and is imported only where it is used: to
-sieve a segment the cache does not hold, and by the helpers that return
+sieve a range the cache does not hold, and by the helpers that return
 arrays (PrimeRange.odd_primes, prime_chunks, primes_in_ap_count).  A
 cache hit, the counts and odd_flags_below are pure bytes and ints.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import threading
@@ -31,6 +29,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 SEGMENT_ODDS = 1 << 20          # odd entries per segment: cache-resident inner loop
+_STEP = 2 * SEGMENT_ODDS        # integers per aligned segment
 MAX_SEGMENTS_PER_RANGE = 256    # cap on materialized ranges; stream wider ones
 MAX_LIMIT = 1 << 63
 CACHE_ENV = "CHEB_CACHE_DIR"
@@ -58,17 +57,6 @@ class PrimeRange:
     @property
     def odd_count(self) -> int:
         return _odds_in(self.lo, self.hi)
-
-    def is_prime(self, m: int) -> bool:
-        """Primality of m, which must lie in [lo, hi)."""
-        if not self.lo <= m < self.hi:
-            raise ValueError(f"{m} outside [{self.lo}, {self.hi})")
-        if m == 2:
-            return True
-        if m % 2 == 0:
-            return False
-        idx = m // 2 - self.lo // 2
-        return bool(self.flags[idx >> 3] & (1 << (idx & 7)))
 
     def count_odd_primes(self, upto: Optional[float] = None) -> int:
         """Number of set bits for odd integers < upto (default: the whole range).
@@ -174,31 +162,36 @@ def _cache_store(lo: int, hi: int, flags: bytes) -> None:
             fh.write(flags)
             fh.write(crc.to_bytes(4, "little"))
         os.replace(tmp, path)
-    except OSError:
-        pass  # cache is best-effort
+    except OSError:             # cache is best-effort; leave no partial file
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
 
 
-def sieve_range(lo: int, hi: int, segment_odds: int = SEGMENT_ODDS) -> PrimeRange:
-    """Sieve [lo, hi) and return packed odd-primality flags.
-
-    The byte content is independent of segment_odds.  When CHEB_CACHE_DIR
-    is set, valid cached ranges are reused and fresh ones stored.
-    """
+def _check_range(lo: int, hi: int) -> None:
     if not (isinstance(lo, int) and isinstance(hi, int)):
         raise TypeError("lo and hi must be integers")
     if lo < 0 or hi < lo:
         raise ValueError(f"need 0 <= lo <= hi, got [{lo}, {hi})")
     if hi > MAX_LIMIT:
         raise OverflowError(f"hi={hi} exceeds the 2**63 sieve limit")
-    if segment_odds < 8:
-        raise ValueError("segment_odds must be at least 8")
+
+
+def sieve_range(lo: int, hi: int) -> PrimeRange:
+    """Sieve [lo, hi) in one mask and return packed odd-primality flags.
+
+    When CHEB_CACHE_DIR is set and [lo, hi) is exactly one aligned
+    segment, valid cached flags are reused and fresh ones stored; any
+    other range is sieved and never cached.
+    """
+    _check_range(lo, hi)
     if _odds_in(lo, hi) > SEGMENT_ODDS * MAX_SEGMENTS_PER_RANGE:
         raise OverflowError(
             "range too wide to materialize in one PrimeRange; "
             "stream it with prime_chunks"
         )
 
-    cached = _cache_load(lo, hi)
+    whole_segment = lo % _STEP == 0 and hi - lo == _STEP
+    cached = _cache_load(lo, hi) if whole_segment else None
     if cached is not None:
         return PrimeRange(lo, hi, cached)
 
@@ -206,13 +199,10 @@ def sieve_range(lo: int, hi: int, segment_odds: int = SEGMENT_ODDS) -> PrimeRang
 
     base = _base_odd_primes(math.isqrt(hi - 1) if hi > 1 else 0)
     mask = np.ones(_odds_in(lo, hi), dtype=bool)
-    for seg_lo in range(lo, hi, 2 * segment_odds):
-        seg_hi = min(seg_lo + 2 * segment_odds, hi)
-        start = _odds_in(lo, seg_lo)
-        _sieve_segment(mask[start:start + _odds_in(seg_lo, seg_hi)],
-                       seg_lo, seg_hi, base)
+    _sieve_segment(mask, lo, hi, base)
     flags = np.packbits(mask, bitorder="little").tobytes()
-    _cache_store(lo, hi, flags)
+    if whole_segment:
+        _cache_store(lo, hi, flags)
     return PrimeRange(lo, hi, flags)
 
 
@@ -223,11 +213,11 @@ def _check_count_limit(x: float) -> None:
         raise OverflowError(f"x={x} exceeds the 2**63 sieve limit")
 
 
-def _aligned_segments(limit: int) -> Iterator[PrimeRange]:
-    """Sieve, in order, the whole aligned segments that cover [0, limit)."""
-    step = 2 * SEGMENT_ODDS
-    for lo in range(0, limit, step):
-        yield sieve_range(lo, lo + step)
+def _aligned_segments(lo: int, hi: int) -> Iterator[PrimeRange]:
+    """Sieve, in order, the whole aligned segments that meet [lo, hi)."""
+    _check_range(lo, hi)
+    first = lo - lo % _STEP if lo < hi else hi
+    return (sieve_range(k, k + _STEP) for k in range(first, hi, _STEP))
 
 
 def prime_count(x: float) -> int:
@@ -238,7 +228,7 @@ def prime_count(x: float) -> int:
     limit = math.ceil(x)
     # 1 for the prime 2
     return 1 + sum(seg.count_odd_primes(limit)
-                   for seg in _aligned_segments(limit))
+                   for seg in _aligned_segments(0, limit))
 
 
 def primes_in_ap_count(x: float, q: int, d: int) -> int:
@@ -254,7 +244,7 @@ def primes_in_ap_count(x: float, q: int, d: int) -> int:
 
     limit = math.ceil(x)
     total = 1 if 2 % q == d else 0
-    for seg in _aligned_segments(limit):
+    for seg in _aligned_segments(0, limit):
         odds = seg.odd_primes()
         total += int(np.count_nonzero(odds[odds < limit] % q == d))
     return total
@@ -270,7 +260,7 @@ def odd_flags_below(x: float) -> PrimeRange:
     limit = math.ceil(x)
     full, rem = divmod(_odds_in(0, limit), 8)
     flags = bytearray(full + (rem > 0))
-    for seg in _aligned_segments(limit):
+    for seg in _aligned_segments(0, limit):
         start = seg.lo // 16        # 16 integers, 8 of them odd, per byte
         part = memoryview(seg.flags)[:len(flags) - start]
         flags[start:start + len(part)] = part
@@ -279,20 +269,15 @@ def odd_flags_below(x: float) -> PrimeRange:
     return PrimeRange(0, limit, bytes(flags))
 
 
-def prime_chunks(lo: int, hi: int,
-                 segment_odds: int = SEGMENT_ODDS) -> Iterator[np.ndarray]:
+def prime_chunks(lo: int, hi: int) -> Iterator[np.ndarray]:
     """Yield the primes in [lo, hi) as increasing int64 arrays."""
     import numpy as np
 
-    if lo < 0 or hi < lo:
-        raise ValueError(f"need 0 <= lo <= hi, got [{lo}, {hi})")
-    if hi > MAX_LIMIT:
-        raise OverflowError(f"hi={hi} exceeds the 2**63 sieve limit")
+    segments = _aligned_segments(lo, hi)
     if lo <= 2 < hi:
         yield np.array([2], dtype=np.int64)
-    step = 2 * segment_odds
-    for seg_lo in range(lo, hi, step):
-        seg = sieve_range(seg_lo, min(seg_lo + step, hi), segment_odds)
+    for seg in segments:
         odds = seg.odd_primes()
+        odds = odds[odds.searchsorted(lo):odds.searchsorted(hi)]
         if odds.size:
             yield odds

@@ -5,10 +5,11 @@ adaptive Simpson instead of Gauss-Legendre, an exhaustive a-scan instead
 of the b-iteration, direct residue filtering instead of bitmaps.  They
 share no code with the package so that agreement is evidence.
 
-The one exception is ``sieve_split_primes``: the package's sieve and its
-split predicate, tested prime by prime.  It shares no code with the form
-enumeration in ``pi_D_dihedral`` and is fast enough to check the wall
-pi_D(n^2) = 0 up to n = 2^12.
+The one exception is ``sieve_split_primes``: the package's sieve and the
+split predicate ``is_totally_split``, tested prime by prime.  It shares no
+code with the form enumeration in ``pi_D_dihedral`` and is fast enough to
+check the wall pi_D(n^2) = 0 up to n = 2^12.  ``range_is_prime`` and
+``li_ratio_to_asymptote`` likewise read values the package computed.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from __future__ import annotations
 import math
 from typing import Iterator
 
-from cheblab import dihedral, sieve
+from cheblab import analytic, sieve
+
+MAX_BRUTEFORCE_ORDER = 4096
 
 # High-precision offset logarithmic integral, integral of dt/log t from 2,
 # precomputed with 30-digit arbitrary-precision quadrature.
@@ -61,6 +64,18 @@ def trial_is_prime(m: int) -> bool:
     return True
 
 
+def range_is_prime(rng: sieve.PrimeRange, m: int) -> bool:
+    """Primality of m read from rng's packed flags; m must lie in [lo, hi)."""
+    if not rng.lo <= m < rng.hi:
+        raise ValueError(f"{m} outside [{rng.lo}, {rng.hi})")
+    if m == 2:
+        return True
+    if m % 2 == 0:
+        return False
+    idx = m // 2 - rng.lo // 2
+    return bool(rng.flags[idx >> 3] & (1 << (idx & 7)))
+
+
 def trial_primes_below(x: float) -> list[int]:
     """All primes < x by trial division against the primes found so far."""
     limit = math.ceil(x)
@@ -101,10 +116,30 @@ def represented_by_form(p: int, n: int) -> bool:
     return False
 
 
+def is_totally_split(p: int, n: int) -> bool:
+    """Whether the odd prime p is of the form a^2 + n^2 b^2.
+
+    b runs from 1 to floor(sqrt(p-1)/n) and the remainder is tested for
+    being a perfect square by exact integer square root; b = 0 is
+    impossible since p = a^2 is never prime for a > 1.
+    """
+    if p % 2 == 0:
+        raise ValueError("p must be an odd prime (2 ramifies)")
+    if n < 4 or n & (n - 1):
+        raise ValueError(f"n must be a power of two with n >= 4, got {n}")
+    n2 = n * n
+    for b in range(1, math.isqrt(p - 1) // n + 1):
+        rem = p - n2 * b * b
+        a = math.isqrt(rem)
+        if a * a == rem:
+            return True
+    return False
+
+
 def iter_sieve_split_primes(n: int, x: float) -> Iterator[int]:
     """Odd primes p < x of the form a^2 + n^2 b^2, one sieved prime at a time."""
     return (p for chunk in sieve.prime_chunks(3, math.ceil(x))
-            for p in chunk.tolist() if dihedral.is_totally_split(p, n))
+            for p in chunk.tolist() if is_totally_split(p, n))
 
 
 def sieve_split_primes(n: int, x: float) -> list[int]:
@@ -123,6 +158,46 @@ def fermat_row_prime(n: int) -> int:
         if all(pow(w, m - 1, m) == 1 for w in (2, 3, 5, 7)):
             return m
         a += 2
+
+
+def conjugacy_count_bruteforce(n: int) -> int:
+    """Conjugacy classes of the dihedral group of order n, by orbit scan.
+
+    Elements are pairs (rotation index mod n/2, reflection flag); serves
+    as an independent oracle for alpha_dihedral.
+    """
+    if n < 4 or n % 2:
+        raise ValueError(f"group order must be even and >= 4, got {n}")
+    if n > MAX_BRUTEFORCE_ORDER:
+        raise ValueError(f"order {n} above brute-force cap {MAX_BRUTEFORCE_ORDER}")
+    m = n // 2
+
+    def mul(g, h):
+        gi, gs = g
+        hi, hs = h
+        # reflections conjugate the rotation subgroup by inversion
+        return ((gi + hi) % m if gs == 0 else (gi - hi) % m, gs ^ hs)
+
+    def inv(g):
+        gi, gs = g
+        return ((-gi) % m, 0) if gs == 0 else g
+
+    elements = [(i, s) for s in (0, 1) for i in range(m)]
+    seen = set()
+    classes = 0
+    for g in elements:
+        if g in seen:
+            continue
+        classes += 1
+        seen.update(mul(mul(h, g), inv(h)) for h in elements)
+    return classes
+
+
+def li_ratio_to_asymptote(n: int) -> float:
+    """li(n^2) divided by its asymptote n^2 / (2 log n); tends to 1."""
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    return analytic.li(float(n) * n) * 2.0 * math.log(n) / (float(n) * n)
 
 
 def _adapt(f, a, b, fa, fm, fb, whole, tol, depth):

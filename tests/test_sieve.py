@@ -18,13 +18,26 @@ from cheblab import cyclotomic, sieve
 import oracles
 
 
+STEP = 2 * sieve.SEGMENT_ODDS     # integers per aligned segment
+
+
+def sieved_in_pieces(lo: int, hi: int, piece_odds: int) -> bytes:
+    """Flags of [lo, hi) sieved in pieces of piece_odds odd integers, joined."""
+    joined = shift = 0
+    for start in range(lo, hi, 2 * piece_odds):
+        piece = sieve.sieve_range(start, min(start + 2 * piece_odds, hi))
+        joined |= int.from_bytes(piece.flags, "little") << shift
+        shift += piece.odd_count
+    return joined.to_bytes((shift + 7) // 8, "little")
+
+
 class TestSieveRange:
     def test_first_decade(self):
         rng = sieve.sieve_range(0, 10)
         assert rng.odd_primes().tolist() == [3, 5, 7]
-        assert rng.is_prime(2) is True  # query layer adds 2
-        assert rng.is_prime(1) is False
-        assert rng.is_prime(9) is False
+        assert oracles.range_is_prime(rng, 2) is True  # query layer adds 2
+        assert oracles.range_is_prime(rng, 1) is False
+        assert oracles.range_is_prime(rng, 9) is False
 
     def test_empty_interval(self):
         rng = sieve.sieve_range(10, 10)
@@ -41,7 +54,7 @@ class TestSieveRange:
     def test_matches_trial_division(self, lo, hi):
         rng = sieve.sieve_range(lo, hi)
         for m in range(lo, hi):
-            assert rng.is_prime(m) == oracles.trial_is_prime(m), m
+            assert oracles.range_is_prime(rng, m) == oracles.trial_is_prime(m), m
 
     @given(st.integers(0, 5000), st.integers(0, 5000))
     @settings(max_examples=60, deadline=None)
@@ -49,21 +62,21 @@ class TestSieveRange:
         lo, hi = min(a, b), max(a, b)
         rng = sieve.sieve_range(lo, hi)
         for m in range(lo | 1, hi, 2):
-            assert rng.is_prime(m) == oracles.trial_is_prime(m), m
+            assert oracles.range_is_prime(rng, m) == oracles.trial_is_prime(m), m
 
-    @pytest.mark.parametrize("segment_odds", [8, 97, 1000, 4096, 1 << 20])
-    def test_segment_independence(self, segment_odds):
-        whole = sieve.sieve_range(0, 100000, segment_odds=1 << 20)
-        split = sieve.sieve_range(0, 100000, segment_odds=segment_odds)
-        assert split.flags == whole.flags
+    @pytest.mark.parametrize("piece_odds", [8, 97, 1000, 4096, 1 << 20])
+    def test_segment_independence(self, piece_odds):
+        whole = sieve.sieve_range(0, 100000)
+        split = sieved_in_pieces(0, 100000, piece_odds)
+        assert split == whole.flags
 
     @given(st.integers(0, 3000), st.integers(0, 3000), st.integers(8, 512))
     @settings(max_examples=40, deadline=None)
-    def test_segment_independence_random(self, a, b, segment_odds):
+    def test_segment_independence_random(self, a, b, piece_odds):
         lo, hi = min(a, b), max(a, b)
-        one = sieve.sieve_range(lo, hi, segment_odds=1 << 20)
-        many = sieve.sieve_range(lo, hi, segment_odds=segment_odds)
-        assert many.flags == one.flags
+        one = sieve.sieve_range(lo, hi)
+        many = sieved_in_pieces(lo, hi, piece_odds)
+        assert many == one.flags
 
     def test_workspace_is_one_mask(self):
         # one bool per odd integer and the packed flags twice: about
@@ -87,15 +100,13 @@ class TestSieveRange:
             # wider than the materialization cap; must be streamed instead
             sieve.sieve_range(0, 2 * sieve.SEGMENT_ODDS
                               * sieve.MAX_SEGMENTS_PER_RANGE + 4)
-        with pytest.raises(ValueError):
-            sieve.sieve_range(0, 100, segment_odds=4)
 
     def test_is_prime_out_of_range(self):
         rng = sieve.sieve_range(10, 20)
         with pytest.raises(ValueError):
-            rng.is_prime(20)
+            oracles.range_is_prime(rng, 20)
         with pytest.raises(ValueError):
-            rng.is_prime(9)
+            oracles.range_is_prime(rng, 9)
 
 
 class TestPrimeCount:
@@ -193,20 +204,45 @@ class TestIteratePrimes:
         assert got == sorted(got)
 
     def test_chunked_iteration_is_seamless(self):
-        got = self.collect(0, 10 ** 4)
+        # the chunks are aligned segments; this range crosses two boundaries
+        lo, hi = STEP - 10 ** 4, 2 * STEP + 10 ** 4
+        got = sieve.sieve_range(lo, hi).odd_primes().tolist()
         chunked: list[int] = []
-        for chunk in sieve.prime_chunks(0, 10 ** 4, segment_odds=64):
+        for chunk in sieve.prime_chunks(lo, hi):
             chunked.extend(chunk.tolist())
         assert got == chunked
+
+    def test_sieves_the_segments_that_meet_the_range(self, monkeypatch):
+        sieve_range = sieve.sieve_range
+        calls = []
+
+        def recorded(lo, hi):
+            calls.append((lo, hi))
+            return sieve_range(lo, hi)
+
+        monkeypatch.setattr(sieve, "sieve_range", recorded)
+        assert self.collect(5, 5) == [] and calls == []
+        self.collect(STEP - 10, STEP + 10)
+        assert calls == [(0, STEP), (STEP, 2 * STEP)]
+
+    @given(st.lists(st.one_of(*(st.integers(max(0, c - 10 ** 4), c + 10 ** 4)
+                                for c in (0, STEP, 2 * STEP))),
+                    min_size=2, max_size=2))
+    @example([STEP, 2 * STEP])
+    @example([STEP - 1, STEP + 1])
+    @example([0, 3])
+    @settings(max_examples=25, deadline=None)
+    def test_chunks_equal_one_sieved_range(self, ends):
+        lo, hi = sorted(ends)
+        want = ([2] if lo <= 2 < hi else []) \
+            + sieve.sieve_range(lo, hi).odd_primes().tolist()
+        assert self.collect(lo, hi) == want
 
     def test_validation(self):
         with pytest.raises(ValueError):
             self.collect(5, 4)
         with pytest.raises(OverflowError):
             self.collect(0, (1 << 63) + 2)
-
-
-STEP = 2 * sieve.SEGMENT_ODDS     # integers per aligned segment
 
 
 def streamed_odd_primes(x: float) -> np.ndarray:
@@ -283,27 +319,27 @@ class TestDiskCache:
 
     def test_cache_file_format(self, tmp_path, monkeypatch):
         monkeypatch.setenv(sieve.CACHE_ENV, str(tmp_path))
-        rng = sieve.sieve_range(0, 10 ** 4)
+        rng = sieve.sieve_range(0, STEP)
         files = list(tmp_path.iterdir())
         assert len(files) == 1
         data = files[0].read_bytes()
-        assert data == self._expected_bytes(0, 10 ** 4, rng.flags)
+        assert data == self._expected_bytes(0, STEP, rng.flags)
         # payload is one bit per odd integer, LSB first, padded to bytes
-        assert len(rng.flags) == (10 ** 4 // 2 + 7) // 8
+        assert len(rng.flags) == (STEP // 2 + 7) // 8
 
     def test_first_format_is_a_miss(self, tmp_path, monkeypatch):
         monkeypatch.setenv(sieve.CACHE_ENV, str(tmp_path))
-        clean = sieve.sieve_range(0, 2000)
+        clean = sieve.sieve_range(0, STEP)
         path = next(tmp_path.iterdir())
         # a CHEB1 file (no CRC) with every odd integer marked prime,
         # both under its own name and under the current one
         cheb1 = (b"CHEB1" + (0).to_bytes(8, "little")
-                 + (2000).to_bytes(8, "little") + b"\xff" * len(clean.flags))
-        (tmp_path / "sieve-0-2000.cheb1").write_bytes(cheb1)
-        assert sieve.sieve_range(0, 2000).flags == clean.flags
+                 + STEP.to_bytes(8, "little") + b"\xff" * len(clean.flags))
+        (tmp_path / f"sieve-0-{STEP}.cheb1").write_bytes(cheb1)
+        assert sieve.sieve_range(0, STEP).flags == clean.flags
         path.write_bytes(cheb1)
-        assert sieve.sieve_range(0, 2000).flags == clean.flags
-        assert path.read_bytes() == self._expected_bytes(0, 2000, clean.flags)
+        assert sieve.sieve_range(0, STEP).flags == clean.flags
+        assert path.read_bytes() == self._expected_bytes(0, STEP, clean.flags)
 
     def test_flipped_payload_bit_recomputed(self, tmp_path, monkeypatch):
         monkeypatch.setenv(sieve.CACHE_ENV, str(tmp_path))
@@ -346,38 +382,60 @@ class TestDiskCache:
 
     def test_cache_round_trip(self, tmp_path, monkeypatch):
         monkeypatch.setenv(sieve.CACHE_ENV, str(tmp_path))
-        first = sieve.sieve_range(1000, 5000)
+        first = sieve.sieve_range(STEP, 2 * STEP)
         path = next(tmp_path.iterdir())
         stamp = path.stat().st_mtime_ns
-        again = sieve.sieve_range(1000, 5000)
+        again = sieve.sieve_range(STEP, 2 * STEP)
         assert again.flags == first.flags
         assert path.stat().st_mtime_ns == stamp  # served from disk, not rewritten
 
     def test_corrupt_cache_recomputed(self, tmp_path, monkeypatch):
         monkeypatch.setenv(sieve.CACHE_ENV, str(tmp_path))
-        clean = sieve.sieve_range(0, 2000)
+        clean = sieve.sieve_range(0, STEP)
         path = next(tmp_path.iterdir())
         path.write_bytes(b"CHEB2" + b"\xff" * (len(clean.flags) + 20))
-        recomputed = sieve.sieve_range(0, 2000)
+        recomputed = sieve.sieve_range(0, STEP)
         assert recomputed.flags == clean.flags
 
     def test_wrong_header_ignored(self, tmp_path, monkeypatch):
         monkeypatch.setenv(sieve.CACHE_ENV, str(tmp_path))
-        clean = sieve.sieve_range(0, 2000)
+        clean = sieve.sieve_range(0, STEP)
         path = next(tmp_path.iterdir())
         data = bytearray(path.read_bytes())
         data[:5] = b"NOPE1"
         path.write_bytes(bytes(data))
-        assert sieve.sieve_range(0, 2000).flags == clean.flags
+        assert sieve.sieve_range(0, STEP).flags == clean.flags
 
     def test_unwritable_cache_dir_is_silent(self, tmp_path, monkeypatch):
         blocker = tmp_path / "not-a-dir"
         blocker.write_text("occupied")
         monkeypatch.setenv(sieve.CACHE_ENV, str(blocker / "sub"))
-        rng = sieve.sieve_range(0, 100)
-        assert rng.odd_primes().tolist() == oracles.trial_primes_below(100)[1:]
+        odds = sieve.sieve_range(0, STEP).odd_primes()
+        assert odds[odds < 100].tolist() == oracles.trial_primes_below(100)[1:]
 
     def test_no_env_no_files(self, tmp_path, monkeypatch):
         monkeypatch.delenv(sieve.CACHE_ENV, raising=False)
-        sieve.sieve_range(0, 1000)
+        sieve.sieve_range(0, STEP)
         assert list(tmp_path.iterdir()) == []
+
+    def test_only_aligned_segments_are_cached(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(sieve.CACHE_ENV, str(tmp_path))
+        for lo, hi in [(0, 1000), (1, STEP + 1), (STEP, 3 * STEP),
+                       (0, STEP - 2), (STEP // 2, 3 * STEP // 2)]:
+            sieve.sieve_range(lo, hi)
+        assert list(tmp_path.iterdir()) == []
+        list(sieve.prime_chunks(3, 5 * 10 ** 6))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"sieve-{k * STEP}-{(k + 1) * STEP}.cheb2" for k in (0, 1, 2)]
+
+    def test_failed_store_leaves_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(sieve.CACHE_ENV, str(tmp_path))
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(sieve.os, "replace", refuse)
+        clean = sieve.sieve_range(0, STEP)
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.delenv(sieve.CACHE_ENV)
+        assert sieve.sieve_range(0, STEP).flags == clean.flags
