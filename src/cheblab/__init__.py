@@ -49,7 +49,7 @@ from .sieve import (
     sieve_range,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = [
     "BOUNDED",

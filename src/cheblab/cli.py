@@ -20,7 +20,7 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_IO = 4
 
-SIEVE_GUARD = 1 << 40           # refuse sieve-check beyond this extent
+SIEVE_GUARD = 1 << 40           # refuse sieve-check charged more integers
 MEMORY_BUDGET = 1 << 31         # refuse cyclotomic commands holding more bytes
 
 HEADERS = {
@@ -379,16 +379,35 @@ def _validate(args: argparse.Namespace) -> Optional[str]:
     return None
 
 
+def _totient(q: int) -> int:
+    """Euler's phi by trial division."""
+    phi, m, p = q, q, 2
+    while p * p <= m:
+        if m % p == 0:
+            phi -= phi // p
+            while m % p == 0:
+                m //= p
+        p += 1
+    return phi - phi // m if m > 1 else phi
+
+
 def _resource_problem(args: argparse.Namespace) -> Optional[str]:
     """Why the command would exceed a resource guard, or None.
 
-    sieve-check is bounded by its sieve extent, the cyclotomic commands by
-    the bytes they hold at r_max; the dihedral commands sieve nothing and
-    are bounded by the exact primality test instead.
+    sieve-check is bounded by the integers it walks, the cyclotomic
+    commands by the bytes they hold at r_max; the dihedral commands sieve
+    nothing and are bounded by the exact primality test instead.
     """
-    if args.command == "sieve-check" and args.limit > SIEVE_GUARD:
-        return (f"configuration would sieve up to {args.limit}, beyond the "
-                f"2^40 resource guard")
+    if args.command == "sieve-check":
+        # q candidates for the divisor scan, and the segments below limit
+        # once per coprime residue and about 2.5 more times, charged as 3.
+        # Once q alone passes the guard, phi(q) is not computed.
+        q = args.q
+        charge = q if q > SIEVE_GUARD else q + (_totient(q) + 3) * args.limit
+        if charge > SIEVE_GUARD:
+            return (f"--limit {args.limit} --q {args.q} is charged at least "
+                    f"{charge} integers walked (q + (phi(q) + 3) * limit), "
+                    f"beyond the 2^40 resource guard")
     if args.command == "cyclotomic" or args.family == "cyclotomic":
         held = cyclotomic.peak_bytes(1 << args.r_max, args.alpha)
         if held > MEMORY_BUDGET:

@@ -5,20 +5,25 @@ of an odd prime p is p mod q, and D collects the odd residues whose
 progression contains no prime below T = n * log(n)^alpha.  By construction
 pi_D(T) = 0 while |D| >= n - pi(T), so |D| ~ n.
 
-The odd integer 2k + 1 lies in the class with index k mod n.  So the
-packed odd flags below a bound (sieve.odd_flags_below), read as ints of
-W = max(n, 2^16) bits, a multiple of n, put every prime of one class in
-the same bit column mod n: OR-ing the chunks and halving the result down
-to n bits gives the classes hit, and AND-ing each chunk with D repeated
-across W counts the primes in D.  D itself is an int of n bits.  A
-family (measure_family) is sieved once, below its largest T, and each
-member reads its prefix of those flags; nothing is kept between calls.
-numpy is imported only by the mask and residues arrays.
+The odd integer 2k + 1 lies in the class with index k mod n, and the
+odd flags of aligned sieve segment k, read as one int of 2^20 bits (a
+row), are the indices [k * 2^20, (k + 1) * 2^20).  A family
+(measure_family, n strictly increasing) is one ordered pass over the
+segments below its largest T.  Each row is held and OR-ed into one
+accumulator of max(1, n_max / 2^20) rows, row k into slot k mod that
+many.  At a member's T its classes hit are a fold of the accumulator and
+the current row cut at T; D is the complement, an int of n bits.
+pi_D(T) is recounted from the held rows, so a fold that missed a class
+counts non-zero.  The last member is counted before the rows are dropped
+and its D is formed; nothing is kept between calls.  numpy is imported
+only by the mask and residues arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -29,7 +34,8 @@ from .dihedral import _validate_n
 if TYPE_CHECKING:
     import numpy as np
 
-_MIN_FOLD_BITS = 1 << 16        # width of the ints the flags are read as, at least
+_ROW_BITS = sieve.SEGMENT_ODDS  # odd flags per aligned segment: one row
+_ROW_BYTES = _ROW_BITS // 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,68 +86,130 @@ class CyclotomicInstance:
 def measure_family(
     ns: Iterable[int], alpha: float,
 ) -> Iterator[tuple[CyclotomicInstance, int]]:
-    """Yield (member, pi_D(T)) for each n in turn, from one sieve.
+    """Yield (member, pi_D(T)) for each n in turn, from one ordered pass.
 
-    The odd flags below the largest T are sieved once, and each member
-    folds and counts its own prefix of them.  No member is held here
-    while the next one is built.
+    ns must strictly increase.  The aligned segments below the largest T
+    are sieved once, in order; each member is folded from the accumulator
+    when the pass reaches its T and is not held here once yielded.
     """
     ns = list(ns)
     for n in ns:
         _validate_n(n)
+    if any(a >= b for a, b in zip(ns, ns[1:])):
+        raise ValueError(f"ns must strictly increase, got {ns}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    return _walk(ns, alpha)
+
+
+def _row(seg: sieve.PrimeRange) -> int:
+    return int.from_bytes(seg.flags, "little")
+
+
+def _walk(ns: list[int], alpha: float) -> Iterator[tuple[CyclotomicInstance, int]]:
+    """The pass of measure_family, over validated, increasing ns.
+
+    Row k (the flags of segment k) is held for the recounts and OR-ed
+    into slots[k mod len(slots)].  Each n divides len(slots) * 2^20 or
+    is below 2^20, so a member's classes hit are a fold of the slots.
+    """
+    if not ns:
+        return
     Ts = [n * math.log(n) ** alpha for n in ns]
-    flags = sieve.odd_flags_below(max(Ts, default=0)).flags
-    for n, T in zip(ns, Ts):
-        yield _member(n, alpha, T, flags)
+    pending = [(n, T, math.ceil(T) // 2) for n, T in zip(ns, Ts)]  # odds below T
+    slots = [0] * max(1, ns[-1] // _ROW_BITS)
+    rows: list[int] = []
+    primes = 0                                  # set bits in the rows before row k
+    segments = sieve._aligned_segments(0, math.ceil(Ts[-1]))
+    for k, row in enumerate(map(_row, segments)):
+        rows.append(row)
+        while pending and pending[0][2] <= (k + 1) * _ROW_BITS:
+            n, T, bits = pending.pop(0)
+            cut = _cut(row, bits - k * _ROW_BITS)
+            hit = _fold(slots, k, cut, n)
+            # the primes below T minus those in a class the fold marks hit
+            pi_D = primes + cut.bit_count() - _ones_in(rows, hit, bits)
+            if not pending:                 # the last member: nothing else reads them
+                rows.clear()
+                slots.clear()
+            yield CyclotomicInstance(
+                r=n.bit_length() - 1, n=n, q=2 * n, alpha=alpha, T=T,
+                D=_complement(hit, n),
+            ), pi_D
+        if not pending:
+            return
+        primes += row.bit_count()
+        slots[k % len(slots)] |= row
 
 
-def _chunks(flags: bytes, bits: int, width: int) -> Iterator[int]:
-    """The first `bits` bits of flags, as ints of `width` bits in turn.
+def _fold(slots: list[int], k: int, partial: int, n: int) -> list[int]:
+    """Classes mod n hit by the slots and by `partial`, the cut row k, as
+    rows of 2^20 bits: row t covers classes [t * 2^20, (t + 1) * 2^20).
 
-    width is a multiple of 8; the bits of the last chunk at or above
-    `bits` are cleared.
+    From n = 2^20 on, row t is the OR of the slots j = t (mod n / 2^20);
+    below it, the OR of all slots is halved to n bits and tiled back to
+    one row.
     """
-    view = memoryview(flags)
-    for start in range(0, bits, width):
-        chunk = int.from_bytes(view[start // 8:(start + width) // 8], "little")
-        if bits - start < width:
-            chunk &= (1 << bits - start) - 1
-        yield chunk
-
-
-def _member(n: int, alpha: float, T: float,
-            flags: bytes) -> tuple[CyclotomicInstance, int]:
-    """Member n and pi_D(T), from packed odd flags that reach at least T.
-
-    The chunks are OR-ed into one int of W bits, W a multiple of n, and
-    that int is halved down to n bits, so bit k ends up at k mod n.
-    """
-    bits = math.ceil(T) // 2    # odd integers below T
-    width = max(n, _MIN_FOLD_BITS)
-    hit = 0
-    for chunk in _chunks(flags, bits, width):
-        hit |= chunk
+    if n >= _ROW_BITS:
+        m = n // _ROW_BITS
+        hit = [functools.reduce(operator.or_, slots[t::m]) for t in range(m)]
+        hit[k % m] |= partial
+        return hit
+    hit, width = functools.reduce(operator.or_, slots, partial), _ROW_BITS
     while width > n:
         width //= 2
         hit = (hit | hit >> width) & ((1 << width) - 1)
-    inst = CyclotomicInstance(
-        r=n.bit_length() - 1, n=n, q=2 * n, alpha=alpha, T=T,
-        D=hit ^ ((1 << n) - 1),
-    )
-    return inst, _count_in_D(inst, flags, bits)
+    return _as_rows(hit, n)
 
 
-def _count_in_D(inst: CyclotomicInstance, flags: bytes, bits: int) -> int:
-    """Set bits among the first `bits` of flags whose class lies in D."""
-    width = max(inst.n, _MIN_FOLD_BITS)
-    in_D, filled = inst.D, inst.n       # D repeated across `width` bits
-    while filled < width:
-        in_D |= in_D << filled
-        filled *= 2
-    return sum((chunk & in_D).bit_count()
-               for chunk in _chunks(flags, bits, width))
+def _as_rows(bits: int, n: int) -> list[int]:
+    """An int of n bits as rows of 2^20 bits: tiled across one row below
+    n = 2^20, else cut into n / 2^20 rows."""
+    if n < _ROW_BITS:
+        while n < _ROW_BITS:
+            bits |= bits << n
+            n *= 2
+        return [bits]
+    packed = memoryview(bits.to_bytes(n // 8, "little"))
+    return [int.from_bytes(packed[s:s + _ROW_BYTES], "little")
+            for s in range(0, len(packed), _ROW_BYTES)]
+
+
+def _ones_in(rows: Iterable[int], cover: list[int], bits: int) -> int:
+    """Set bits among the first `bits` flag bits of the rows that are also
+    set in cover[k mod len(cover)], for row k."""
+    return sum((row & cover[k % len(cover)]).bit_count()
+               for k, row in _rows_below(rows, bits))
+
+
+def _complement(hit: list[int], n: int) -> int:
+    """D, the n-bit complement of a fold.  hit is emptied as it is read,
+    so its rows are released while D is assembled."""
+    if n < _ROW_BITS:
+        return ~hit.pop() & ((1 << n) - 1)
+    full = (1 << _ROW_BITS) - 1
+    parts = []
+    for t in range(len(hit)):
+        parts.append((hit[t] ^ full).to_bytes(_ROW_BYTES, "little"))
+        hit[t] = 0
+    packed = b"".join(parts)    # bytes: int.from_bytes would copy a bytearray
+    del parts
+    return int.from_bytes(packed, "little")
+
+
+def _cut(row: int, rest: int) -> int:
+    """row with its bits at or above `rest` cleared."""
+    return row & ((1 << rest) - 1) if rest < _ROW_BITS else row
+
+
+def _rows_below(rows: Iterable[int], bits: int) -> Iterator[tuple[int, int]]:
+    """(k, row k) for the rows that meet the first `bits` flag bits, the
+    last one cut at `bits`."""
+    for k, row in enumerate(rows):
+        rest = bits - k * _ROW_BITS
+        if rest <= 0:
+            return
+        yield k, _cut(row, rest)
 
 
 def build_D(n: int, alpha: float) -> CyclotomicInstance:
@@ -154,24 +222,28 @@ def build_D(n: int, alpha: float) -> CyclotomicInstance:
 
 
 def pi_D_cyclotomic(inst: CyclotomicInstance, x: float) -> int:
-    """Number of odd primes p < x with p mod q in D; 2 is excluded."""
-    flags = sieve.odd_flags_below(x).flags
-    return _count_in_D(inst, flags, 8 * len(flags))
+    """Number of odd primes p < x with p mod q in D; 2 is excluded.
+
+    Row k of the flags below x is AND-ed with D tiled across 2^20 bits,
+    or with D's slice k mod (n / 2^20), and the popcounts summed.
+    """
+    sieve._check_count_limit(x)
+    limit = math.ceil(x)
+    rows = map(_row, sieve._aligned_segments(0, limit))
+    return _ones_in(rows, _as_rows(inst.D, inst.n), limit // 2)
 
 
 def peak_bytes(n: int, alpha: float) -> int:
     """Upper bound on the bytes held at once to build D for n and count pi_D(T).
 
-    Four times the flags below T, in whole segments: while they are
-    gathered, the buffer and its bytes copy, which the family then reads;
-    twice that again to spare.  n + n/4 bytes for the ints of the fold and the
-    count, a few of W = max(n, 2^16) bits each (a chunk of the flags, the
-    OR of the chunks, D repeated across W and its AND with a chunk); at
-    n < 2^16 they fit in the slack of the segment charge.  And one sieve
-    segment's workspace, charged at 3 bytes per odd integer where the
-    sieve uses 1.25.  T is kept as an exact rational, so no n overflows a
-    float.  The family holds the flags below its largest T, so the bound
-    at its largest n covers every member.
+    The pass holds the flags below T once, as rows of 2^20 bits (T/16
+    bytes), the accumulator of max(n, 2^20) bits, one member's fold and
+    D, n/8 bytes each, and one sieve segment's workspace, about 1.25 bytes
+    per odd integer.  The charge exceeds that: four times the flags below
+    T in whole segments, n + n/4 bytes for the ints of n bits, and the
+    workspace at 3 bytes per odd integer.  T is kept as an exact rational,
+    so no n overflows a float.  The family holds the flags below its
+    largest T, so the bound at its largest n covers every member.
     """
     step = 2 * sieve.SEGMENT_ODDS
     segments = math.ceil(n * Fraction(math.log(n) ** alpha) / step)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from cheblab import __version__, cyclotomic, dihedral, sieve
+from cheblab import __version__, cli, cyclotomic, dihedral, sieve
 from cheblab.cli import (
     EXIT_FAILURE,
     EXIT_IO,
@@ -165,6 +165,23 @@ class TestResourceGuard:
     def test_sieve_check_guard(self, capsys):
         rc, _, _ = run(capsys, "sieve-check", "--limit", str((1 << 40) + 1))
         assert rc == EXIT_RESOURCE
+
+    @pytest.mark.parametrize("argv", [
+        ("--limit", str(1 << 38), "--q", "12"),
+        ("--q", str(1 << 41), "--limit", "10"),
+    ], ids=["limit-times-residues", "q"])
+    def test_sieve_check_guard_charges_the_work(self, argv, capsys,
+                                                monkeypatch):
+        # 12 + (phi(12) + 3) * 2^38 and 2^41 both pass 2^40, though each
+        # --limit is admitted alone.  The stub records a run the guard let
+        # through instead of sieving.
+        ran = []
+        monkeypatch.setitem(cli._COMMANDS, "sieve-check",
+                            lambda args: ran.append(args) or EXIT_OK)
+        rc, out, err = run(capsys, "sieve-check", *argv)
+        assert rc == EXIT_RESOURCE
+        assert ran == [] and out == ""
+        assert "q + (phi(q) + 3) * limit" in err
 
     def test_dihedral_commands_reach_the_exact_bound(self, capsys):
         rc, out, _ = run(capsys, "serre", "--r-min", "2", "--r-max", "38")

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,15 +96,42 @@ class TestBuildD:
 
 
 class TestMeasureFamily:
-    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.99])
-    def test_members_equal_family_of_one(self, alpha):
-        ns = [1 << r for r in range(2, 21)]
+    @pytest.mark.parametrize("alpha,r_max", [(0.1, 20), (0.5, 22), (0.99, 20)],
+                             ids=["0.1", "0.5", "0.99"])
+    def test_members_equal_family_of_one(self, alpha, r_max):
+        ns = [1 << r for r in range(2, r_max + 1)]
         members = cyclotomic.measure_family(ns, alpha)
         for n, (inst, pi_D) in zip(ns, members, strict=True):
             one = cyclotomic.build_D(n, alpha)
             assert (inst.n, inst.q, inst.T) == (one.n, one.q, one.T)
             np.testing.assert_array_equal(inst.mask, one.mask)
             assert pi_D == cyclotomic.pi_D_cyclotomic(one, one.T)
+
+    @pytest.mark.parametrize("ns", [[8, 8], [16, 8], [4, 32, 16], [4, 4, 8]])
+    def test_rejects_n_that_do_not_strictly_increase(self, ns):
+        with pytest.raises(ValueError, match="strictly increase"):
+            list(cyclotomic.measure_family(ns, 0.5))
+
+    def test_empty_family(self):
+        assert list(cyclotomic.measure_family([], 0.5)) == []
+
+    def test_traced_peak_holds_the_flags_once(self):
+        # The pass holds the 33 whole segments of flags below T(2^24) once
+        # (2^17 bytes each), the accumulator and D (2^24 / 8 bytes each),
+        # and one sieve segment's workspace.  A cold sieve imports numpy;
+        # its module objects are not bytes the pass holds.
+        import numpy  # noqa: F401
+
+        ns = [1 << r for r in range(8, 25)]
+        tracemalloc.start()
+        try:
+            counts = list(map(operator.itemgetter(1),
+                              cyclotomic.measure_family(ns, 0.5)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts == [0] * len(ns)
+        assert peak <= 33 * (1 << 17) + 2 * (1 << 21) + 3 * (1 << 20)
 
 
 class TestPiD:
@@ -193,6 +222,24 @@ class TestFoldAgainstSievedPrimes:
             assert inst.D_size == n - np.count_nonzero(hit)
             assert pi_D == 0
             for x in (inst.T, 4 * inst.T, 10 ** 6 + 0.5):
+                below = primes[primes < x]
+                expected = np.count_nonzero(~hit[below % (2 * n) // 2])
+                assert cyclotomic.pi_D_cyclotomic(inst, x) == expected
+
+    def test_members_past_one_row(self):
+        # From n = 2^21 a member folds two or more accumulator slots, and
+        # D is assembled from slices of 2^20 bits.
+        ns = [1 << 21, 1 << 22]
+        top = 2 * ns[-1] * math.log(ns[-1]) ** 0.5
+        primes = sieve.sieve_range(0, math.ceil(top)).odd_primes()
+        members = cyclotomic.measure_family(ns, 0.5)
+        for n, (inst, pi_D) in zip(ns, members, strict=True):
+            hit = np.zeros(n, dtype=bool)
+            hit[primes[primes < inst.T] % (2 * n) // 2] = True
+            np.testing.assert_array_equal(inst.mask, ~hit)
+            assert inst.D_size == n - np.count_nonzero(hit)
+            assert pi_D == 0
+            for x in (inst.T, 2 * inst.T):
                 below = primes[primes < x]
                 expected = np.count_nonzero(~hit[below % (2 * n) // 2])
                 assert cyclotomic.pi_D_cyclotomic(inst, x) == expected
