@@ -42,14 +42,14 @@ from .dihedral import (
 )
 from .sieve import (
     PrimeRange,
-    odd_flags_below,
+    odd_rows,
     prime_chunks,
     prime_count,
     primes_in_ap_count,
     sieve_range,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [
     "BOUNDED",
@@ -76,7 +76,7 @@ __all__ = [
     "main_term",
     "measure_family",
     "min_split_prime",
-    "odd_flags_below",
+    "odd_rows",
     "pi_D_cyclotomic",
     "pi_D_dihedral",
     "prime_chunks",

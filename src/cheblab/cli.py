@@ -401,12 +401,15 @@ def _resource_problem(args: argparse.Namespace) -> Optional[str]:
     if args.command == "sieve-check":
         # q candidates for the divisor scan, and the segments below limit
         # once per coprime residue and about 2.5 more times, charged as 3.
+        # Each count walks whole segments, so limit is rounded up to them.
         # Once q alone passes the guard, phi(q) is not computed.
-        q = args.q
-        charge = q if q > SIEVE_GUARD else q + (_totient(q) + 3) * args.limit
+        q, step = args.q, 2 * sieve.SEGMENT_ODDS
+        walked = -(-args.limit // step) * step
+        charge = q if q > SIEVE_GUARD else q + (_totient(q) + 3) * walked
         if charge > SIEVE_GUARD:
             return (f"--limit {args.limit} --q {args.q} is charged at least "
-                    f"{charge} integers walked (q + (phi(q) + 3) * limit), "
+                    f"{charge} integers walked (q + (phi(q) + 3) * limit, "
+                    f"limit rounded up to whole segments of {step}), "
                     f"beyond the 2^40 resource guard")
     if args.command == "cyclotomic" or args.family == "cyclotomic":
         held = cyclotomic.peak_bytes(1 << args.r_max, args.alpha)

@@ -5,18 +5,20 @@ of an odd prime p is p mod q, and D collects the odd residues whose
 progression contains no prime below T = n * log(n)^alpha.  By construction
 pi_D(T) = 0 while |D| >= n - pi(T), so |D| ~ n.
 
-The odd integer 2k + 1 lies in the class with index k mod n, and the
-odd flags of aligned sieve segment k, read as one int of 2^20 bits (a
-row), are the indices [k * 2^20, (k + 1) * 2^20).  A family
-(measure_family, n strictly increasing) is one ordered pass over the
-segments below its largest T.  Each row is held and OR-ed into one
-accumulator of max(1, n_max / 2^20) rows, row k into slot k mod that
-many.  At a member's T its classes hit are a fold of the accumulator and
-the current row cut at T; D is the complement, an int of n bits.
-pi_D(T) is recounted from the held rows, so a fold that missed a class
-counts non-zero.  The last member is counted before the rows are dropped
-and its D is formed; nothing is kept between calls.  numpy is imported
-only by the mask and residues arrays.
+The odd integer 2k + 1 lies in the class with index k mod n, and row k
+of sieve.odd_rows, the flags of aligned segment k as one int of 2^20
+bits, holds the indices [k * 2^20, (k + 1) * 2^20).  A family
+(measure_family, n strictly increasing) is one ordered pass over the rows
+below its largest T.  Each row is held and OR-ed into one accumulator of
+max(1, n_max / 2^20) rows, row k into slot k mod that many.  At a
+member's T its classes hit are a fold of the accumulator and the current
+row cut at T; D is the complement, an int of n bits.  Every held row lies
+wholly below T, so pi_D(T) is recounted over the held rows and the cut:
+their popcounts less those of each row AND the fold.  A fold that missed
+a class thus counts non-zero.  The last member is counted before the rows
+are dropped and its D is formed; nothing is kept between calls.
+pi_D_cyclotomic is the same popcount, of each row AND D.  numpy is
+imported only by the mask and residues arrays.
 """
 
 from __future__ import annotations
@@ -102,33 +104,27 @@ def measure_family(
     return _walk(ns, alpha)
 
 
-def _row(seg: sieve.PrimeRange) -> int:
-    return int.from_bytes(seg.flags, "little")
-
-
 def _walk(ns: list[int], alpha: float) -> Iterator[tuple[CyclotomicInstance, int]]:
     """The pass of measure_family, over validated, increasing ns.
 
-    Row k (the flags of segment k) is held for the recounts and OR-ed
-    into slots[k mod len(slots)].  Each n divides len(slots) * 2^20 or
-    is below 2^20, so a member's classes hit are a fold of the slots.
+    Row k of the flags is held for the recounts and OR-ed into
+    slots[k mod len(slots)].  Each n divides len(slots) * 2^20 or is below
+    2^20, so a member's classes hit are a fold of the slots.
     """
     if not ns:
         return
     Ts = [n * math.log(n) ** alpha for n in ns]
     pending = [(n, T, math.ceil(T) // 2) for n, T in zip(ns, Ts)]  # odds below T
     slots = [0] * max(1, ns[-1] // _ROW_BITS)
-    rows: list[int] = []
-    primes = 0                                  # set bits in the rows before row k
-    segments = sieve._aligned_segments(0, math.ceil(Ts[-1]))
-    for k, row in enumerate(map(_row, segments)):
-        rows.append(row)
+    rows: list[int] = []                        # the rows before row k
+    for k, row in enumerate(sieve.odd_rows(Ts[-1])):
         while pending and pending[0][2] <= (k + 1) * _ROW_BITS:
             n, T, bits = pending.pop(0)
-            cut = _cut(row, bits - k * _ROW_BITS)
-            hit = _fold(slots, k, cut, n)
+            rows.append(row & ((1 << (bits - k * _ROW_BITS)) - 1))  # cut at T
+            hit = _fold(slots, k, rows[-1], n)
             # the primes below T minus those in a class the fold marks hit
-            pi_D = primes + cut.bit_count() - _ones_in(rows, hit, bits)
+            pi_D = sum(map(int.bit_count, rows)) - _ones(rows, hit)
+            rows.pop()
             if not pending:                 # the last member: nothing else reads them
                 rows.clear()
                 slots.clear()
@@ -138,7 +134,7 @@ def _walk(ns: list[int], alpha: float) -> Iterator[tuple[CyclotomicInstance, int
             ), pi_D
         if not pending:
             return
-        primes += row.bit_count()
+        rows.append(row)
         slots[k % len(slots)] |= row
 
 
@@ -175,11 +171,11 @@ def _as_rows(bits: int, n: int) -> list[int]:
             for s in range(0, len(packed), _ROW_BYTES)]
 
 
-def _ones_in(rows: Iterable[int], cover: list[int], bits: int) -> int:
-    """Set bits among the first `bits` flag bits of the rows that are also
-    set in cover[k mod len(cover)], for row k."""
-    return sum((row & cover[k % len(cover)]).bit_count()
-               for k, row in _rows_below(rows, bits))
+def _ones(rows: Iterable[int], cover: list[int]) -> int:
+    """Set bits of row k that are also set in cover[k mod len(cover)],
+    summed over the rows."""
+    m = len(cover)
+    return sum((row & cover[k % m]).bit_count() for k, row in enumerate(rows))
 
 
 def _complement(hit: list[int], n: int) -> int:
@@ -197,21 +193,6 @@ def _complement(hit: list[int], n: int) -> int:
     return int.from_bytes(packed, "little")
 
 
-def _cut(row: int, rest: int) -> int:
-    """row with its bits at or above `rest` cleared."""
-    return row & ((1 << rest) - 1) if rest < _ROW_BITS else row
-
-
-def _rows_below(rows: Iterable[int], bits: int) -> Iterator[tuple[int, int]]:
-    """(k, row k) for the rows that meet the first `bits` flag bits, the
-    last one cut at `bits`."""
-    for k, row in enumerate(rows):
-        rest = bits - k * _ROW_BITS
-        if rest <= 0:
-            return
-        yield k, _cut(row, rest)
-
-
 def build_D(n: int, alpha: float) -> CyclotomicInstance:
     """Construct D = odd residues mod 2n hit by no prime below T.
 
@@ -224,13 +205,10 @@ def build_D(n: int, alpha: float) -> CyclotomicInstance:
 def pi_D_cyclotomic(inst: CyclotomicInstance, x: float) -> int:
     """Number of odd primes p < x with p mod q in D; 2 is excluded.
 
-    Row k of the flags below x is AND-ed with D tiled across 2^20 bits,
-    or with D's slice k mod (n / 2^20), and the popcounts summed.
+    The popcounts of each row k of the flags below x AND D, tiled across
+    2^20 bits or sliced to D's row k mod (n / 2^20).
     """
-    sieve._check_count_limit(x)
-    limit = math.ceil(x)
-    rows = map(_row, sieve._aligned_segments(0, limit))
-    return _ones_in(rows, _as_rows(inst.D, inst.n), limit // 2)
+    return _ones(sieve.odd_rows(x), _as_rows(inst.D, inst.n))
 
 
 def peak_bytes(n: int, alpha: float) -> int:

@@ -2,17 +2,19 @@
 
 Flags carry one bit per odd integer; the prime 2 is reintroduced by the
 query layer.  sieve_range strikes one mask for [lo, hi) against all base
-primes below sqrt(hi).  The counts, odd_flags_below and prime_chunks walk
-whole aligned segments [k * 2 * SEGMENT_ODDS, (k + 1) * 2 * SEGMENT_ODDS),
-and only those are cached on disk, so the cache keys do not depend on x
-or on which reader asked.  Cache files end in a CRC-32 of header and
-payload, so a damaged file is recomputed rather than read.  The module
-holds no state between calls.
+primes below sqrt(hi).  Every reader walks whole aligned segments
+[k * 2 * SEGMENT_ODDS, (k + 1) * 2 * SEGMENT_ODDS), and only those are
+cached on disk, so the cache keys do not depend on x or on which reader
+asked.  Cache files end in a CRC-32 of header and payload, so a damaged
+file is recomputed rather than read.  The module holds no state between
+calls.
 
-numpy is the sieve's kernel and is imported only where it is used: to
-sieve a range the cache does not hold, and by the helpers that return
-arrays (PrimeRange.odd_primes, prime_chunks, primes_in_ap_count).  A
-cache hit, the counts and odd_flags_below are pure bytes and ints.
+odd_rows is the one reader of the flags as bits: one int of SEGMENT_ODDS
+bits per segment, on which prime_count and the cyclotomic family are
+popcounts.  PrimeRange.odd_primes, prime_chunks and primes_in_ap_count
+read the primes as arrays.  numpy is the sieve's kernel and is imported
+only where it is used: to sieve a range the cache does not hold, and by
+the array readers.  A cache hit and odd_rows are pure bytes and ints.
 """
 
 from __future__ import annotations
@@ -57,22 +59,6 @@ class PrimeRange:
     @property
     def odd_count(self) -> int:
         return _odds_in(self.lo, self.hi)
-
-    def count_odd_primes(self, upto: Optional[float] = None) -> int:
-        """Number of set bits for odd integers < upto (default: the whole range).
-
-        Population count over packed bytes with boundary masking, so the
-        result is bit-exact regardless of the padding in the last byte.
-        """
-        limit = self.hi if upto is None else min(math.ceil(upto), self.hi)
-        if limit <= self.lo:
-            return 0
-        k = _odds_in(self.lo, limit)
-        full, rem = divmod(k, 8)
-        total = int.from_bytes(self.flags[:full], "little").bit_count()
-        if rem:
-            total += (self.flags[full] & ((1 << rem) - 1)).bit_count()
-        return total
 
     def odd_primes(self) -> np.ndarray:
         """The odd primes in [lo, hi) as an int64 array, increasing."""
@@ -220,15 +206,38 @@ def _aligned_segments(lo: int, hi: int) -> Iterator[PrimeRange]:
     return (sieve_range(k, k + _STEP) for k in range(first, hi, _STEP))
 
 
+def _as_int(seg: PrimeRange) -> int:
+    return int.from_bytes(seg.flags, "little")
+
+
+def odd_rows(x: float) -> Iterator[int]:
+    """The flags of the odd integers below ceil(x), one int (a row) per
+    aligned segment that holds one of them, in order.
+
+    Bit i of row k is set iff 2 * (k * SEGMENT_ODDS + i) + 1 is prime, so
+    every row has at most SEGMENT_ODDS bits, and the last is cut at
+    ceil(x).  x is checked here, not on the first next().
+    """
+    _check_count_limit(x)
+    odds = math.ceil(x) // 2            # the odd integers below ceil(x)
+    return _rows(_aligned_segments(0, 2 * odds), odds)
+
+
+def _rows(segments: Iterator[PrimeRange], odds: int) -> Iterator[int]:
+    """The segments' flags as rows, cut to the first `odds` in all."""
+    # map reads each segment, so no loop variable holds its bytes at a yield
+    for row in map(_as_int, segments):
+        if odds < SEGMENT_ODDS:
+            row &= (1 << odds) - 1
+        odds -= SEGMENT_ODDS
+        yield row
+
+
 def prime_count(x: float) -> int:
     """Number of primes strictly below x."""
-    _check_count_limit(x)
-    if x <= 2:
-        return 0
-    limit = math.ceil(x)
+    rows = odd_rows(x)          # checks x, also where x <= 2
     # 1 for the prime 2
-    return 1 + sum(seg.count_odd_primes(limit)
-                   for seg in _aligned_segments(0, limit))
+    return 1 + sum(map(int.bit_count, rows)) if x > 2 else 0
 
 
 def primes_in_ap_count(x: float, q: int, d: int) -> int:
@@ -248,25 +257,6 @@ def primes_in_ap_count(x: float, q: int, d: int) -> int:
         odds = seg.odd_primes()
         total += int(np.count_nonzero(odds[odds < limit] % q == d))
     return total
-
-
-def odd_flags_below(x: float) -> PrimeRange:
-    """Packed odd-primality flags of [0, ceil(x)), from aligned segments.
-
-    Padding bits at or above ceil(x) are cleared, so the bytes equal
-    sieve_range(0, ceil(x)).flags.
-    """
-    _check_count_limit(x)
-    limit = math.ceil(x)
-    full, rem = divmod(_odds_in(0, limit), 8)
-    flags = bytearray(full + (rem > 0))
-    for seg in _aligned_segments(0, limit):
-        start = seg.lo // 16        # 16 integers, 8 of them odd, per byte
-        part = memoryview(seg.flags)[:len(flags) - start]
-        flags[start:start + len(part)] = part
-    if rem:
-        flags[-1] &= (1 << rem) - 1
-    return PrimeRange(0, limit, bytes(flags))
 
 
 def prime_chunks(lo: int, hi: int) -> Iterator[np.ndarray]:

@@ -169,12 +169,15 @@ class TestResourceGuard:
     @pytest.mark.parametrize("argv", [
         ("--limit", str(1 << 38), "--q", "12"),
         ("--q", str(1 << 41), "--limit", "10"),
-    ], ids=["limit-times-residues", "q"])
+        ("--q", str(1 << 36), "--limit", "10"),
+    ], ids=["limit-times-residues", "q", "whole-segments"])
     def test_sieve_check_guard_charges_the_work(self, argv, capsys,
                                                 monkeypatch):
         # 12 + (phi(12) + 3) * 2^38 and 2^41 both pass 2^40, though each
-        # --limit is admitted alone.  The stub records a run the guard let
-        # through instead of sieving.
+        # --limit is admitted alone.  So does 2^36 + (2^35 + 3) * 2^21:
+        # each of the 2^35 progression counts sieves a whole segment of
+        # 2^21 integers, however small the limit.  The stub records a run
+        # the guard let through instead of sieving.
         ran = []
         monkeypatch.setitem(cli._COMMANDS, "sieve-check",
                             lambda args: ran.append(args) or EXIT_OK)
@@ -421,6 +424,46 @@ class TestWithoutNumpy:
                            cache_dir=tmp_path)
         assert bare.returncode == 0, bare.stderr
         assert bare.stdout == normal.stdout
+
+    def test_counts_over_a_warm_cache(self, tmp_path):
+        # odd_rows reads cached flags as ints: neither count needs numpy
+        code = ("from cheblab import cyclotomic, sieve; "
+                "inst = cyclotomic.build_D(1 << 16, 0.5); "
+                "print(sieve.prime_count(5 * 10 ** 6), "
+                "cyclotomic.pi_D_cyclotomic(inst, 2 * inst.T))")
+        normal = self.python("-c", code, cache_dir=tmp_path)
+        assert normal.returncode == 0, normal.stderr
+        assert normal.stdout.split()[0] == "348513"
+        bare = self.python("-c", BLOCK_NUMPY + code, cache_dir=tmp_path)
+        assert bare.returncode == 0, bare.stderr
+        assert bare.stdout == normal.stdout
+
+
+class TestTraceHarness:
+    """bench/traced.py wraps package functions by name; it must still run."""
+
+    @pytest.mark.parametrize("argv", [
+        ("serre", "--r-min", "2", "--r-max", "4"),
+        ("falsify", "--family", "dihedral", "--r-min", "4", "--r-max", "8"),
+        ("cyclotomic", "--r-min", "2", "--r-max", "12"),
+        ("falsify", "--family", "cyclotomic", "--range-alpha", "0.5",
+         "--r-min", "8", "--r-max", "12"),
+    ], ids=["serre", "falsify-dihedral", "cyclotomic", "falsify-cyclotomic"])
+    def test_traced_run_matches_main(self, argv, capsys, tmp_path):
+        root = Path(__file__).parents[1]
+        out = tmp_path / "spans.json"
+        env = {k: v for k, v in os.environ.items() if k != sieve.CACHE_ENV}
+        env["PYTHONPATH"] = str(root / "src")
+        proc = subprocess.run(
+            [sys.executable, str(root / "bench" / "traced.py"), str(out), "0",
+             "--", *argv], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(out.read_text())
+        assert doc["exit_code"] == EXIT_OK
+        assert doc["spans"]
+        rc, stdout, _ = run(capsys, *argv)
+        assert rc == EXIT_OK
+        assert doc["stdout"] == stdout
 
 
 class TestEntryPoints:

@@ -43,7 +43,7 @@ class TestSieveRange:
         rng = sieve.sieve_range(10, 10)
         assert rng.odd_count == 0
         assert rng.flags == b""
-        assert rng.count_odd_primes() == 0
+        assert rng.odd_primes().size == 0
 
     def test_inner_window(self):
         rng = sieve.sieve_range(100, 120)
@@ -251,7 +251,26 @@ def streamed_odd_primes(x: float) -> np.ndarray:
     return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
 
 
+def joined(rows) -> int:
+    """The rows of odd_rows as one int, row k shifted by k * 2^20 bits."""
+    return sum(row << (k * sieve.SEGMENT_ODDS) for k, row in enumerate(rows))
+
+
+def row_primes(x: float) -> np.ndarray:
+    """The odd primes below x, decoded from the bits of odd_rows(x)."""
+    parts = [np.empty(0, dtype=np.int64)]
+    for k, row in enumerate(sieve.odd_rows(x)):
+        # to_bytes raises OverflowError on a row wider than one segment
+        packed = np.frombuffer(row.to_bytes(sieve.SEGMENT_ODDS // 8, "little"),
+                               dtype=np.uint8)
+        index = np.flatnonzero(np.unpackbits(packed, bitorder="little"))
+        parts.append(2 * (k * sieve.SEGMENT_ODDS + index) + 1)
+    return np.concatenate(parts)
+
+
 class TestPrimeTable:
+    """sieve.odd_rows, the one reader of the flags as bits."""
+
     @given(st.one_of(
         st.floats(0, 3),
         st.floats(0, 2 * STEP + 1),
@@ -266,13 +285,11 @@ class TestPrimeTable:
     @example(STEP + 0.5)
     @settings(max_examples=20, deadline=None)
     def test_matches_streamed_primes(self, x):
-        got = sieve.odd_flags_below(x).odd_primes()
-        assert got.dtype == np.int64
-        np.testing.assert_array_equal(got, streamed_odd_primes(x))
+        np.testing.assert_array_equal(row_primes(x), streamed_odd_primes(x))
 
     def test_examples(self):
         def below(x):
-            return sieve.odd_flags_below(x).odd_primes().tolist()
+            return row_primes(x).tolist()
 
         assert below(2) == []
         assert below(3) == []
@@ -282,33 +299,39 @@ class TestPrimeTable:
 
     def test_order_independence(self):
         def below(x):
-            return sieve.odd_flags_below(x).odd_primes()
+            return joined(sieve.odd_rows(x))
 
         xs = (10.5, STEP - 0.5, float(STEP), STEP + 1, 2 * STEP + 0.5)
-        ascending = [below(x).copy() for x in xs]
+        ascending = [below(x) for x in xs]
         descending = [below(x) for x in reversed(xs)][::-1]
-        descending_first = [below(x) for x in reversed(xs)][::-1]
-        for a, d, f in zip(ascending, descending, descending_first):
-            np.testing.assert_array_equal(d, a)
-            np.testing.assert_array_equal(f, a)
+        assert descending == ascending
 
     @pytest.mark.parametrize("order", ["ascending", "descending"])
     def test_flags_equal_sieve_range(self, order):
         xs = [0, 1, 2, 3, 3.5] + [k * STEP + d for k in (1, 2, 3)
-                                  for d in (-0.5, 0.5)]
+                                  for d in (-0.5, 0.5, 1)]
         if order == "descending":
             xs.reverse()
         for x in xs:
-            got = sieve.odd_flags_below(x)
-            want = sieve.sieve_range(0, math.ceil(x))
-            assert (got.lo, got.hi) == (0, math.ceil(x)), x
-            assert got.flags == want.flags, x
+            limit = math.ceil(x)
+            rows = list(sieve.odd_rows(x))
+            want = sieve.sieve_range(0, limit).flags
+            assert joined(rows) == int.from_bytes(want, "little"), x
+            # one row per aligned segment holding an odd integer below
+            # ceil(x), each of at most 2^20 bits, the last cut below ceil(x)
+            odds = limit // 2
+            assert len(rows) == -(-odds // sieve.SEGMENT_ODDS), x
+            assert all(row.bit_length() <= sieve.SEGMENT_ODDS for row in rows)
+            if rows:
+                last = odds - (len(rows) - 1) * sieve.SEGMENT_ODDS
+                assert rows[-1].bit_length() <= last, x
 
     def test_validation(self):
+        # raised by the call itself, before any row is read
         with pytest.raises(ValueError):
-            sieve.odd_flags_below(-1)
+            sieve.odd_rows(-1)
         with pytest.raises(OverflowError):
-            sieve.odd_flags_below(2 ** 64)
+            sieve.odd_rows(2 ** 64)
 
 
 class TestDiskCache:
