@@ -45,11 +45,10 @@ from .sieve import (
     odd_rows,
     prime_chunks,
     prime_count,
-    primes_in_ap_count,
     sieve_range,
 )
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 __all__ = [
     "BOUNDED",
@@ -81,7 +80,6 @@ __all__ = [
     "pi_D_dihedral",
     "prime_chunks",
     "prime_count",
-    "primes_in_ap_count",
     "range_check",
     "serre_fit",
     "sieve_range",

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -232,6 +231,18 @@ def _trial_prime_count(x: int) -> int:
     return len(primes)
 
 
+def _prime_factors(q: int) -> list[int]:
+    """The distinct primes dividing q, by trial division up to sqrt(q)."""
+    factors, p = [], 2
+    while p * p <= q:
+        if q % p == 0:
+            factors.append(p)
+            while q % p == 0:
+                q //= p
+        p += 1
+    return factors + [q] if q > 1 else factors
+
+
 def cmd_sieve_check(args: argparse.Namespace) -> int:
     rows = []
 
@@ -248,28 +259,31 @@ def cmd_sieve_check(args: argparse.Namespace) -> int:
     record("segment-independence", ok,
            f"limit={cap} segmentations=2097152;4096;8191")
 
-    trial_cap = min(args.limit, 10 ** 6)
-    got = sieve.prime_count(trial_cap)
+    # one walk of the aligned segments serves every count below
+    import numpy as np
+
+    q, limit = args.q, args.limit
+    trial_cap = min(limit, 10 ** 6)
+    xs = sorted({2, 10, 100, 1000, limit // 2, limit})
+    below = dict.fromkeys({trial_cap, *xs}, 0)     # primes below each point
+    coprime = 0
+    for chunk in sieve.prime_chunks(0, xs[-1]):
+        for x in below:
+            below[x] += int(chunk.searchsorted(x))
+        head = chunk[:chunk.searchsorted(limit)]
+        coprime += int(np.count_nonzero(np.gcd(head, q) == 1))
+
     want = _trial_prime_count(trial_cap)
-    record("trial-division-equivalence", got == want,
-           f"x={trial_cap} sieve={got} trial={want}")
+    record("trial-division-equivalence", below[trial_cap] == want,
+           f"x={trial_cap} sieve={below[trial_cap]} trial={want}")
 
-    q = args.q
-    coprime_sum = sum(
-        sieve.primes_in_ap_count(args.limit, q, d)
-        for d in range(q) if math.gcd(d, q) == 1
-    )
-    divisor_primes = sum(
-        1 for p in range(2, q + 1) if q % p == 0 and p < args.limit
-        and all(p % d for d in range(2, math.isqrt(p) + 1))
-    )
-    total = sieve.prime_count(args.limit)
-    record("ap-partition", coprime_sum + divisor_primes == total,
-           f"x={args.limit} q={q} coprime={coprime_sum} "
-           f"divisors={divisor_primes} total={total}")
+    divisors = sum(1 for p in _prime_factors(q) if p < limit)
+    total = below[limit]
+    record("ap-partition", coprime + divisors == total,
+           f"x={limit} q={q} coprime={coprime} "
+           f"divisors={divisors} total={total}")
 
-    xs = sorted({2, 10, 100, 1000, args.limit // 2, args.limit})
-    counts = [sieve.prime_count(x) for x in xs]
+    counts = [below[x] for x in xs]
     ok = all(a <= b for a, b in zip(counts, counts[1:]))
     record("monotonicity", ok, "counts=" + ";".join(map(str, counts)))
 
@@ -379,18 +393,6 @@ def _validate(args: argparse.Namespace) -> Optional[str]:
     return None
 
 
-def _totient(q: int) -> int:
-    """Euler's phi by trial division."""
-    phi, m, p = q, q, 2
-    while p * p <= m:
-        if m % p == 0:
-            phi -= phi // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    return phi - phi // m if m > 1 else phi
-
-
 def _resource_problem(args: argparse.Namespace) -> Optional[str]:
     """Why the command would exceed a resource guard, or None.
 
@@ -399,18 +401,16 @@ def _resource_problem(args: argparse.Namespace) -> Optional[str]:
     nothing and are bounded by the exact primality test instead.
     """
     if args.command == "sieve-check":
-        # q candidates for the divisor scan, and the segments below limit
-        # once per coprime residue and about 2.5 more times, charged as 3.
-        # Each count walks whole segments, so limit is rounded up to them.
-        # Once q alone passes the guard, phi(q) is not computed.
+        # one walk of the segments below limit, rounded up to whole
+        # segments; q is charged for factoring it, and the guard keeps q
+        # within int64 for np.gcd
         q, step = args.q, 2 * sieve.SEGMENT_ODDS
-        walked = -(-args.limit // step) * step
-        charge = q if q > SIEVE_GUARD else q + (_totient(q) + 3) * walked
+        charge = q + -(-args.limit // step) * step
         if charge > SIEVE_GUARD:
-            return (f"--limit {args.limit} --q {args.q} is charged at least "
-                    f"{charge} integers walked (q + (phi(q) + 3) * limit, "
-                    f"limit rounded up to whole segments of {step}), "
-                    f"beyond the 2^40 resource guard")
+            return (f"--limit {args.limit} --q {args.q} is charged "
+                    f"{charge} integers (q + limit, limit rounded up to "
+                    f"whole segments of {step}), beyond the 2^40 resource "
+                    f"guard")
     if args.command == "cyclotomic" or args.family == "cyclotomic":
         held = cyclotomic.peak_bytes(1 << args.r_max, args.alpha)
         if held > MEMORY_BUDGET:

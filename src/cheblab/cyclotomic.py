@@ -17,8 +17,7 @@ wholly below T, so pi_D(T) is recounted over the held rows and the cut:
 their popcounts less those of each row AND the fold.  A fold that missed
 a class thus counts non-zero.  The last member is counted before the rows
 are dropped and its D is formed; nothing is kept between calls.
-pi_D_cyclotomic is the same popcount, of each row AND D.  numpy is
-imported only by the mask and residues arrays.
+pi_D_cyclotomic is the same popcount, of each row AND D.
 """
 
 from __future__ import annotations
@@ -28,13 +27,10 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from . import sieve
 from .dihedral import _validate_n
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _ROW_BITS = sieve.SEGMENT_ODDS  # odd flags per aligned segment: one row
 _ROW_BYTES = _ROW_BITS // 8
@@ -45,7 +41,7 @@ class CyclotomicInstance:
     """One built family member: modulus, threshold and the residue set D.
 
     D is a bitset: bit k is set iff the odd residue 2k + 1 lies in D, so
-    membership is a shift.  mask and residues unpack it into arrays.
+    membership is a shift.
     """
 
     r: int
@@ -55,22 +51,6 @@ class CyclotomicInstance:
     T: float                    # n * log(n)^alpha
     D: int
     M: int = 2
-
-    @property
-    def mask(self) -> np.ndarray:
-        """D as n bools, indexed by (d - 1) / 2."""
-        import numpy as np
-
-        packed = np.frombuffer(self.D.to_bytes(-(-self.n // 8), "little"),
-                               dtype=np.uint8)
-        return np.unpackbits(packed, count=self.n, bitorder="little").view(bool)
-
-    @property
-    def residues(self) -> np.ndarray:
-        """The residues in D as a sorted int64 array."""
-        import numpy as np
-
-        return 2 * np.flatnonzero(self.mask) + 1
 
     @property
     def D_size(self) -> int:

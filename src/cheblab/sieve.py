@@ -11,10 +11,10 @@ calls.
 
 odd_rows is the one reader of the flags as bits: one int of SEGMENT_ODDS
 bits per segment, on which prime_count and the cyclotomic family are
-popcounts.  PrimeRange.odd_primes, prime_chunks and primes_in_ap_count
-read the primes as arrays.  numpy is the sieve's kernel and is imported
-only where it is used: to sieve a range the cache does not hold, and by
-the array readers.  A cache hit and odd_rows are pure bytes and ints.
+popcounts.  PrimeRange.odd_primes and prime_chunks read the primes as
+arrays.  numpy is the sieve's kernel and is imported only where it is
+used: to sieve a range the cache does not hold, and by the array
+readers.  A cache hit and odd_rows are pure bytes and ints.
 """
 
 from __future__ import annotations
@@ -200,10 +200,16 @@ def _check_count_limit(x: float) -> None:
 
 
 def _aligned_segments(lo: int, hi: int) -> Iterator[PrimeRange]:
-    """Sieve, in order, the whole aligned segments that meet [lo, hi)."""
+    """Sieve, in order, the whole aligned segments that hold an odd
+    integer of [lo, hi).
+
+    lo | 1 is the first odd integer at or above lo, and it lies in lo's
+    segment.  Segment k starts at an even integer, so its first odd
+    integer k + 1 lies below hi iff k < hi - 1.
+    """
     _check_range(lo, hi)
-    first = lo - lo % _STEP if lo < hi else hi
-    return (sieve_range(k, k + _STEP) for k in range(first, hi, _STEP))
+    first = lo - lo % _STEP if lo | 1 < hi else hi
+    return (sieve_range(k, k + _STEP) for k in range(first, hi - 1, _STEP))
 
 
 def _as_int(seg: PrimeRange) -> int:
@@ -238,25 +244,6 @@ def prime_count(x: float) -> int:
     rows = odd_rows(x)          # checks x, also where x <= 2
     # 1 for the prime 2
     return 1 + sum(map(int.bit_count, rows)) if x > 2 else 0
-
-
-def primes_in_ap_count(x: float, q: int, d: int) -> int:
-    """Number of primes p < x with p congruent to d modulo q."""
-    if q < 1:
-        raise ValueError("q must be a positive integer")
-    if not 0 <= d < q:
-        raise ValueError(f"residue d={d} outside [0, {q})")
-    _check_count_limit(x)
-    if x <= 2:
-        return 0
-    import numpy as np
-
-    limit = math.ceil(x)
-    total = 1 if 2 % q == d else 0
-    for seg in _aligned_segments(0, limit):
-        odds = seg.odd_primes()
-        total += int(np.count_nonzero(odds[odds < limit] % q == d))
-    return total
 
 
 def prime_chunks(lo: int, hi: int) -> Iterator[np.ndarray]:

@@ -8,8 +8,9 @@ share no code with the package so that agreement is evidence.
 The one exception is ``sieve_split_primes``: the package's sieve and the
 split predicate ``is_totally_split``, tested prime by prime.  It shares no
 code with the form enumeration in ``pi_D_dihedral`` and is fast enough to
-check the wall pi_D(n^2) = 0 up to n = 2^12.  ``range_is_prime`` and
-``li_ratio_to_asymptote`` likewise read values the package computed.
+check the wall pi_D(n^2) = 0 up to n = 2^12.  ``range_is_prime``,
+``li_ratio_to_asymptote``, ``mask`` and ``residues`` likewise read values
+the package computed.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ from __future__ import annotations
 import math
 from typing import Iterator
 
-from cheblab import analytic, sieve
+import numpy as np
+
+from cheblab import analytic, cyclotomic, sieve
 
 MAX_BRUTEFORCE_ORDER = 4096
 
@@ -74,6 +77,18 @@ def range_is_prime(rng: sieve.PrimeRange, m: int) -> bool:
         return False
     idx = m // 2 - rng.lo // 2
     return bool(rng.flags[idx >> 3] & (1 << (idx & 7)))
+
+
+def mask(inst: cyclotomic.CyclotomicInstance) -> np.ndarray:
+    """D as n bools, indexed by (d - 1) / 2."""
+    packed = np.frombuffer(inst.D.to_bytes(-(-inst.n // 8), "little"),
+                           dtype=np.uint8)
+    return np.unpackbits(packed, count=inst.n, bitorder="little").view(bool)
+
+
+def residues(inst: cyclotomic.CyclotomicInstance) -> np.ndarray:
+    """The residues in D as a sorted int64 array."""
+    return 2 * np.flatnonzero(mask(inst)) + 1
 
 
 def trial_primes_below(x: float) -> list[int]:

@@ -167,24 +167,38 @@ class TestResourceGuard:
         assert rc == EXIT_RESOURCE
 
     @pytest.mark.parametrize("argv", [
-        ("--limit", str(1 << 38), "--q", "12"),
+        ("--q", str(1 << 39), "--limit", str((1 << 39) + 1)),
         ("--q", str(1 << 41), "--limit", "10"),
-        ("--q", str(1 << 36), "--limit", "10"),
-    ], ids=["limit-times-residues", "q", "whole-segments"])
+        ("--q", str((1 << 40) - (1 << 21) + 1), "--limit", "10"),
+    ], ids=["q-plus-limit", "q", "whole-segments"])
     def test_sieve_check_guard_charges_the_work(self, argv, capsys,
                                                 monkeypatch):
-        # 12 + (phi(12) + 3) * 2^38 and 2^41 both pass 2^40, though each
-        # --limit is admitted alone.  So does 2^36 + (2^35 + 3) * 2^21:
-        # each of the 2^35 progression counts sieves a whole segment of
-        # 2^21 integers, however small the limit.  The stub records a run
-        # the guard let through instead of sieving.
+        # 2^39 + 2^39 + 2^21 and 2^41 both pass 2^40, though each value
+        # but 2^41 is admitted alone.  So does 2^40 - 2^21 + 1 with
+        # --limit 10: the walk sieves a whole segment of 2^21 integers,
+        # however small the limit.  The stub records a run the guard let
+        # through instead of sieving.
         ran = []
         monkeypatch.setitem(cli._COMMANDS, "sieve-check",
                             lambda args: ran.append(args) or EXIT_OK)
         rc, out, err = run(capsys, "sieve-check", *argv)
         assert rc == EXIT_RESOURCE
         assert ran == [] and out == ""
-        assert "q + (phi(q) + 3) * limit" in err
+        assert "q + limit" in err
+
+    def test_sieve_check_admits_a_large_q(self, capsys):
+        # q is factored by trial division up to sqrt(q), not scanned
+        rc, out, _ = run(capsys, "sieve-check", "--q", str(1 << 36),
+                         "--limit", "10")
+        assert rc == EXIT_OK
+        assert out == (
+            "check,status,detail\n"
+            "segment-independence,PASS,limit=10 "
+            "segmentations=2097152;4096;8191\n"
+            "trial-division-equivalence,PASS,x=10 sieve=4 trial=4\n"
+            "ap-partition,PASS,x=10 q=68719476736 coprime=3 divisors=1 "
+            "total=4\n"
+            "monotonicity,PASS,counts=0;2;4;25;168\n")
 
     def test_dihedral_commands_reach_the_exact_bound(self, capsys):
         rc, out, _ = run(capsys, "serre", "--r-min", "2", "--r-max", "38")
@@ -302,6 +316,74 @@ class TestSerreCommand:
         assert summary["low_confidence"] == "True"
 
 
+# sieve-check stdout frozen from cheblab 0.8.0, which sieved once per
+# count; the points 100 and 1000 may lie past --limit
+SIEVE_CHECK_STDOUT = {
+    (): """\
+check,status,detail
+segment-independence,PASS,limit=1000000 segmentations=2097152;4096;8191
+trial-division-equivalence,PASS,x=1000000 sieve=78498 trial=78498
+ap-partition,PASS,x=1000000 q=12 coprime=78496 divisors=2 total=78498
+monotonicity,PASS,counts=0;4;25;168;41538;78498
+""",
+    ("--limit", "5000000", "--q", "30"): """\
+check,status,detail
+segment-independence,PASS,limit=4194304 segmentations=2097152;4096;8191
+trial-division-equivalence,PASS,x=1000000 sieve=78498 trial=78498
+ap-partition,PASS,x=5000000 q=30 coprime=348510 divisors=3 total=348513
+monotonicity,PASS,counts=0;4;25;168;183072;348513
+""",
+    ("--limit", "10", "--q", "2310"): """\
+check,status,detail
+segment-independence,PASS,limit=10 segmentations=2097152;4096;8191
+trial-division-equivalence,PASS,x=10 sieve=4 trial=4
+ap-partition,PASS,x=10 q=2310 coprime=0 divisors=4 total=4
+monotonicity,PASS,counts=0;2;4;25;168
+""",
+    ("--limit", "2097153", "--q", "4"): """\
+check,status,detail
+segment-independence,PASS,limit=2097153 segmentations=2097152;4096;8191
+trial-division-equivalence,PASS,x=1000000 sieve=78498 trial=78498
+ap-partition,PASS,x=2097153 q=4 coprime=155610 divisors=1 total=155611
+monotonicity,PASS,counts=0;4;25;168;82025;155611
+""",
+    ("--format", "json", "--limit", "100000", "--q", "7"): """\
+{
+  "command": "sieve-check",
+  "rows": [
+    {
+      "check": "segment-independence",
+      "status": "PASS",
+      "detail": "limit=100000 segmentations=2097152;4096;8191"
+    },
+    {
+      "check": "trial-division-equivalence",
+      "status": "PASS",
+      "detail": "x=100000 sieve=9592 trial=9592"
+    },
+    {
+      "check": "ap-partition",
+      "status": "PASS",
+      "detail": "x=100000 q=7 coprime=9591 divisors=1 total=9592"
+    },
+    {
+      "check": "monotonicity",
+      "status": "PASS",
+      "detail": "counts=0;4;25;168;5133;9592"
+    }
+  ]
+}
+""",
+    ("--limit", "10", "--q", "30030"): """\
+check,status,detail
+segment-independence,PASS,limit=10 segmentations=2097152;4096;8191
+trial-division-equivalence,PASS,x=10 sieve=4 trial=4
+ap-partition,PASS,x=10 q=30030 coprime=0 divisors=4 total=4
+monotonicity,PASS,counts=0;2;4;25;168
+""",
+}
+
+
 class TestSieveCheckCommand:
     def test_all_checks_pass(self, capsys):
         rc, out, _ = run(capsys, "sieve-check", "--limit", "20000")
@@ -312,6 +394,32 @@ class TestSieveCheckCommand:
         names = {r["check"] for r in rows}
         assert names == {"segment-independence", "trial-division-equivalence",
                          "ap-partition", "monotonicity"}
+
+    @pytest.mark.parametrize("argv", list(SIEVE_CHECK_STDOUT),
+                             ids=lambda argv: " ".join(argv) or "defaults")
+    def test_frozen_stdout(self, argv, capsys):
+        rc, out, _ = run(capsys, "sieve-check", *argv)
+        assert rc == EXIT_OK
+        assert out == SIEVE_CHECK_STDOUT[argv]
+
+    def test_each_segment_sieved_once(self, capsys, monkeypatch):
+        # the pieces of the segment-independence check are not aligned
+        # segments and are left out
+        calls = []
+        sieve_range = sieve.sieve_range
+
+        def counted(lo, hi):
+            calls.append((lo, hi))
+            return sieve_range(lo, hi)
+
+        monkeypatch.setattr(sieve, "sieve_range", counted)
+        rc, _, _ = run(capsys, "sieve-check", "--limit", "5000000",
+                       "--q", "30")
+        assert rc == EXIT_OK
+        step = 2 * sieve.SEGMENT_ODDS
+        aligned = [(lo, hi) for lo, hi in calls
+                   if lo % step == 0 and hi - lo == step]
+        assert aligned == [(0, step), (step, 2 * step), (2 * step, 3 * step)]
 
     def test_pieces_are_sieved_under_a_cache(self, capsys, monkeypatch,
                                              tmp_path):
@@ -394,7 +502,8 @@ BLOCK_NUMPY = "import sys; sys.modules['numpy'] = None; "
 
 
 class TestWithoutNumpy:
-    """Only a sieve cache miss and the array accessors may import numpy."""
+    """Only a sieve cache miss, the array readers and sieve-check may
+    import numpy."""
 
     @staticmethod
     def python(*args, cache_dir=None) -> subprocess.CompletedProcess:

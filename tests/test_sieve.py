@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import bisect
+import contextlib
+import io
 import math
 import os
 import threading
@@ -13,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cheblab import cyclotomic, sieve
+from cheblab import cli, cyclotomic, sieve
 
 import oracles
 
@@ -148,43 +151,78 @@ class TestPrimeCount:
             sieve.prime_count(2 ** 64)
 
 
+def sieve_check(limit: int, q: int) -> dict:
+    """The detail fields of each sieve-check row at --limit and --q."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(["sieve-check", "--limit", str(limit), "--q", str(q)])
+    assert rc == cli.EXIT_OK, out.getvalue()
+    rows = (line.split(",") for line in out.getvalue().splitlines()[1:])
+    return {check: dict(field.split("=") for field in detail.split())
+            for check, _, detail in rows}
+
+
+def ap_fields(primes: list[int], limit: int, q: int) -> dict:
+    """The ap-partition fields sieve-check should print, from primes."""
+    below = primes[:bisect.bisect_left(primes, limit)]
+    return {
+        "x": str(limit), "q": str(q),
+        "coprime": str(sum(1 for p in below if math.gcd(p, q) == 1)),
+        "divisors": str(sum(1 for p in below if q % p == 0)),
+        "total": str(len(below)),
+    }
+
+
+@pytest.fixture(scope="module")
+def primes_below_3e4() -> list[int]:
+    return oracles.trial_primes_below(3 * 10 ** 4)
+
+
 class TestPrimesInAP:
+    """Prime counts in the progressions mod q, as sieve-check's
+    ap-partition makes them from one walk of the sieve, against trial
+    division."""
+
     def test_examples(self):
-        assert sieve.primes_in_ap_count(10, 4, 1) == 1  # p = 5
-        assert sieve.primes_in_ap_count(10, 4, 3) == 2  # p = 3, 7
-        assert sieve.primes_in_ap_count(2, 3, 1) == 0
+        assert sieve_check(10, 4)["ap-partition"] == {
+            "x": "10", "q": "4", "coprime": "3", "divisors": "1",
+            "total": "4"}             # 3, 5, 7 and the divisor 2
+        assert sieve_check(10, 15)["ap-partition"]["divisors"] == "2"
 
     def test_counts_two(self):
-        assert sieve.primes_in_ap_count(10, 2, 0) == 1  # only p = 2
-        assert sieve.primes_in_ap_count(10, 1, 0) == 4
+        # 2 is the only prime dividing q = 2; q = 1 has no prime divisor
+        assert sieve_check(10, 2)["ap-partition"] == {
+            "x": "10", "q": "2", "coprime": "3", "divisors": "1",
+            "total": "4"}
+        assert sieve_check(10, 1)["ap-partition"] == {
+            "x": "10", "q": "1", "coprime": "4", "divisors": "0",
+            "total": "4"}
 
     @pytest.mark.parametrize("q", [3, 4, 5, 8, 12])
     @pytest.mark.parametrize("x", [100, 10 ** 4])
-    def test_partition(self, q, x):
-        coprime = sum(
-            sieve.primes_in_ap_count(x, q, d)
-            for d in range(q)
-            if np.gcd(d, q) == 1
-        )
-        divisors = sum(
-            1 for p in oracles.trial_primes_below(x) if q % p == 0
-        )
-        assert coprime + divisors == sieve.prime_count(x)
+    def test_partition(self, q, x, primes_below_3e4):
+        want = ap_fields(primes_below_3e4, x, q)
+        assert sieve_check(x, q)["ap-partition"] == want
+        assert int(want["coprime"]) + int(want["divisors"]) \
+            == int(want["total"])
 
-    @given(st.integers(2, 400), st.integers(1, 30), st.integers(0, 29))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_enumeration(self, x, q, d):
-        if d >= q:
-            d = d % q
-        assert sieve.primes_in_ap_count(x, q, d) == oracles.ap_count_brute(x, q, d)
+    @given(st.integers(10, 3 * 10 ** 4), st.integers(1, 60))
+    @example(10, 1)
+    @example(10, 60)
+    @example(1000, 997)
+    @settings(max_examples=30, deadline=None)
+    def test_matches_enumeration(self, primes_below_3e4, limit, q):
+        fields = sieve_check(limit, q)
+        assert fields["ap-partition"] == ap_fields(primes_below_3e4, limit, q)
+        # the points 100 and 1000 may lie past the limit
+        xs = sorted({2, 10, 100, 1000, limit // 2, limit})
+        want = [bisect.bisect_left(primes_below_3e4, x) for x in xs]
+        assert fields["monotonicity"]["counts"] == ";".join(map(str, want))
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            sieve.primes_in_ap_count(10, 4, 4)
-        with pytest.raises(ValueError):
-            sieve.primes_in_ap_count(10, 4, -1)
-        with pytest.raises(ValueError):
-            sieve.primes_in_ap_count(10, 0, 0)
+    def test_validation(self, capsys):
+        for argv in (("--q", "0"), ("--q", "-1"), ("--limit", "9")):
+            assert cli.main(["sieve-check", *argv]) == cli.EXIT_USAGE
+        capsys.readouterr()
 
 
 class TestIteratePrimes:
@@ -224,6 +262,21 @@ class TestIteratePrimes:
         assert self.collect(5, 5) == [] and calls == []
         self.collect(STEP - 10, STEP + 10)
         assert calls == [(0, STEP), (STEP, 2 * STEP)]
+
+    def test_sieves_only_segments_holding_an_odd_integer(self, monkeypatch):
+        # the only integer of [STEP, 2 * STEP) below STEP + 1 is even
+        sieve_range = sieve.sieve_range
+        calls = []
+
+        def recorded(lo, hi):
+            calls.append((lo, hi))
+            return sieve_range(lo, hi)
+
+        monkeypatch.setattr(sieve, "sieve_range", recorded)
+        assert self.collect(STEP, STEP + 1) == [] and calls == []
+        assert self.collect(4, 5) == [] and calls == []
+        assert self.collect(3, STEP + 1)[-1] == 2097143
+        assert calls == [(0, STEP)]
 
     @given(st.lists(st.one_of(*(st.integers(max(0, c - 10 ** 4), c + 10 ** 4)
                                 for c in (0, STEP, 2 * STEP))),
