@@ -310,15 +310,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "scans and least-split-prime fits over two families "
                     "indexed by n = 2^r.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    g = common.add_argument_group("common options")
+    scan = argparse.ArgumentParser(add_help=False)
+    g = scan.add_argument_group("scan options")
     g.add_argument("--r-min", type=int, default=2,
                    help="smallest r, with n = 2^r (default 2)")
     g.add_argument("--r-max", type=int, default=8,
                    help="largest r (default 8)")
+    cyclo = argparse.ArgumentParser(add_help=False)
+    g = cyclo.add_argument_group("cyclotomic family options")
     g.add_argument("--alpha", type=float, default=0.5,
                    help="threshold exponent in T = n*log(n)^alpha, "
                         "0 < alpha < 1 (default 0.5)")
+    template = argparse.ArgumentParser(add_help=False)
+    g = template.add_argument_group("bound template options")
     g.add_argument("--range-alpha", type=float, default=1.0,
                    help="range restriction x > n*log(n)^range_alpha "
                         "(default 1.0)")
@@ -330,6 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exponent on |G| or alpha(G) (default -0.5)")
     g.add_argument("--epsilon", type=float, default=0.01,
                    help="epsilon in x^(1/2+epsilon) (default 0.01)")
+    report = argparse.ArgumentParser(add_help=False)
+    g = report.add_argument_group("report options")
     g.add_argument("--output", default=None, metavar="PATH",
                    help="write the report here instead of stdout")
     g.add_argument("--format", choices=("csv", "json"), default="csv",
@@ -339,23 +345,26 @@ def build_parser() -> argparse.ArgumentParser:
                         "in one thread, and output is identical for any "
                         "value (default 1)")
 
-    parser.set_defaults(family=None)        # only falsify takes --family
+    # no abbreviations: cyclotomic --a would otherwise set --alpha
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="COMMAND")
-    sub.add_parser("dihedral", parents=[common],
+    sub.add_parser("dihedral", parents=[scan, report], allow_abbrev=False,
                    help="per-r split counts, li, class counts, least "
                         "split prime")
-    sub.add_parser("cyclotomic", parents=[common],
+    sub.add_parser("cyclotomic", parents=[scan, cyclo, report],
+                   allow_abbrev=False,
                    help="per-r residue sets D, density and pi_D at T")
-    p_falsify = sub.add_parser("falsify", parents=[common],
+    p_falsify = sub.add_parser("falsify", allow_abbrev=False,
+                               parents=[scan, cyclo, template, report],
                                help="implied-constant scan with a "
                                     "divergence verdict")
     p_falsify.add_argument("--family", choices=("dihedral", "cyclotomic"),
                            required=True, help="sample family to scan")
-    sub.add_parser("serre", parents=[common],
+    sub.add_parser("serre", parents=[scan, report], allow_abbrev=False,
                    help="least split primes, power-law fit, discriminant "
                         "bracket")
-    p_check = sub.add_parser("sieve-check", parents=[common],
+    p_check = sub.add_parser("sieve-check", parents=[report],
+                             allow_abbrev=False,
                              help="self-check the sieve against "
                                   "independent counting routes")
     p_check.add_argument("--limit", type=int, default=10 ** 6,
@@ -367,29 +376,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args: argparse.Namespace) -> Optional[str]:
-    if args.r_min < 2:
+    if hasattr(args, "r_min") and args.r_min < 2:
         return "--r-min must be at least 2"
-    if args.r_min > args.r_max:
+    if hasattr(args, "r_min") and args.r_min > args.r_max:
         return "--r-min must not exceed --r-max"
     if args.workers < 1:
         return "--workers must be at least 1"
-    needs_alpha = args.command == "cyclotomic" or args.family == "cyclotomic"
-    if needs_alpha and not 0.0 < args.alpha < 1.0:
+    if hasattr(args, "alpha") and not 0.0 < args.alpha < 1.0:
         return f"--alpha must lie in (0, 1), got {args.alpha}"
-    if args.command == "falsify":
-        if args.epsilon <= 0:
-            return "--epsilon must be positive"
-        if args.range_alpha < 0:
-            return "--range-alpha must be nonnegative"
-        if args.r_max - args.r_min < 2:
-            return "falsification scan needs at least 3 values of r"
+    if hasattr(args, "epsilon") and args.epsilon <= 0:
+        return "--epsilon must be positive"
+    if hasattr(args, "range_alpha") and args.range_alpha < 0:
+        return "--range-alpha must be nonnegative"
+    if args.command == "falsify" and args.r_max - args.r_min < 2:
+        return "falsification scan needs at least 3 values of r"
     if args.command == "serre" and args.r_max - args.r_min < 1:
         return "serre fit needs at least 2 values of r"
-    if args.command == "sieve-check":
-        if args.limit < 10:
-            return "--limit must be at least 10"
-        if args.q < 1:
-            return "--q must be a positive integer"
+    if hasattr(args, "limit") and args.limit < 10:
+        return "--limit must be at least 10"
+    if hasattr(args, "q") and args.q < 1:
+        return "--q must be a positive integer"
     return None
 
 
@@ -411,7 +417,7 @@ def _resource_problem(args: argparse.Namespace) -> Optional[str]:
                     f"{charge} integers (q + limit, limit rounded up to "
                     f"whole segments of {step}), beyond the 2^40 resource "
                     f"guard")
-    if args.command == "cyclotomic" or args.family == "cyclotomic":
+    if getattr(args, "family", args.command) == "cyclotomic":
         held = cyclotomic.peak_bytes(1 << args.r_max, args.alpha)
         if held > MEMORY_BUDGET:
             return (f"r = {args.r_max} would hold about {held} bytes, beyond "

@@ -50,7 +50,6 @@ class CyclotomicInstance:
     alpha: float
     T: float                    # n * log(n)^alpha
     D: int
-    M: int = 2
 
     @property
     def D_size(self) -> int:

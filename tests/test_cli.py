@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+import importlib
 import json
 import math
 import os
@@ -42,6 +44,42 @@ def parse_csv(text: str) -> tuple:
     return header, rows, summary
 
 
+SCAN = {"--r-min", "--r-max"}
+REPORT = {"--output", "--format", "--workers"}
+TEMPLATE = {"--range-alpha", "--variant", "--a", "--b", "--epsilon"}
+OPTIONS = {
+    "dihedral": SCAN | REPORT,
+    "serre": SCAN | REPORT,
+    "cyclotomic": SCAN | {"--alpha"} | REPORT,
+    "falsify": SCAN | {"--alpha"} | TEMPLATE | REPORT | {"--family"},
+    "sieve-check": REPORT | {"--limit", "--q"},
+}
+
+
+class TestOptionTable:
+    def test_each_command_takes_only_its_options(self):
+        parser = cli.build_parser()
+        sub, = [a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)]
+        taken = {name: {s for a in command._actions for s in a.option_strings
+                        if s not in ("-h", "--help")}
+                 for name, command in sub.choices.items()}
+        assert taken == OPTIONS
+        assert sum(map(len, taken.values())) == 33
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("name", ["paper", "replay-cached"])
+    def test_bench_command_lines_parse(self, name, seed, monkeypatch):
+        # bench/ may not change with the CLI, so its argvs must stay valid
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+        workload = importlib.import_module("run").build_workload(name, seed)
+        argvs = workload.setup_argvs + workload.pass_argvs
+        assert argvs
+        for argv in argvs:
+            args = cli.build_parser().parse_args(argv)
+            assert cli._validate(args) is None, argv
+
+
 class TestUsageErrors:
     def test_r_min_above_r_max(self, capsys):
         rc, _, err = run(capsys, "dihedral", "--r-min", "5", "--r-max", "3")
@@ -57,9 +95,25 @@ class TestUsageErrors:
         assert rc == EXIT_USAGE
         assert "alpha" in err
 
-    def test_dihedral_ignores_alpha(self, capsys):
-        rc, out, _ = run(capsys, "dihedral", "--r-max", "3", "--alpha", "1.2")
-        assert rc == EXIT_OK
+    # cyclotomic --a would abbreviate --alpha if abbreviations were allowed
+    @pytest.mark.parametrize("argv", [
+        ("dihedral", "--variant", "C"),
+        ("serre", "--alpha", "0.3"),
+        ("cyclotomic", "--epsilon", "0.02"),
+        ("cyclotomic", "--a", "0.25"),
+        ("sieve-check", "--r-min", "1"),
+    ], ids=" ".join)
+    def test_option_the_command_does_not_take(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_falsify_validates_alpha_for_either_family(self, capsys):
+        rc, _, err = run(capsys, "falsify", "--family", "dihedral",
+                         "--r-min", "4", "--r-max", "8", "--alpha", "1.2")
+        assert rc == EXIT_USAGE
+        assert "alpha" in err
 
     def test_falsify_needs_family(self):
         with pytest.raises(SystemExit) as exc:
