@@ -9,13 +9,15 @@ Three error-term templates are evaluated against measured samples:
 The implied constant of a sample is |pi_D - (|D|/|G|) Li(x)| divided by
 the template value; a family is empirically falsified when the constants
 diverge along a sample sequence.
+
+The records are typing.NamedTuple classes, immutable and compared by
+value; ChebotarevSample and BoundFamily check their fields in __new__.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, NamedTuple, Sequence, Tuple
 
 VARIANTS = ("C", "Cprime", "FG")
 FAMILIES = ("dihedral", "cyclotomic")
@@ -33,10 +35,7 @@ class IncompatibleVariantError(ValueError):
     """Bound template applied to a sample outside its stated scope."""
 
 
-@dataclass(frozen=True)
-class ChebotarevSample:
-    """One measurement row: a family member evaluated at a point x."""
-
+class _Sample(NamedTuple):
     family: str
     n: int                      # |G|
     x: float
@@ -46,7 +45,14 @@ class ChebotarevSample:
     alpha_G: int
     M: int = 2
 
-    def __post_init__(self):
+
+class ChebotarevSample(_Sample):
+    """One measurement row: a family member evaluated at a point x."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.n < 2:
@@ -61,26 +67,39 @@ class ChebotarevSample:
             raise ValueError("need 1 <= alpha_G <= n")
         if self.M < 2:
             raise ValueError("M must be at least 2")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)       # so _replace checks the fields too
 
 
-@dataclass(frozen=True)
-class BoundFamily:
-    """A template (C_{a,b}), (C'_{a,b}) or the fixed-shape FG conjecture."""
-
+class _Family(NamedTuple):
     variant: str
     a: float = 0.0
     b: float = 0.0
     epsilon: float = 0.01
 
-    def __post_init__(self):
+
+class BoundFamily(_Family):
+    """A template (C_{a,b}), (C'_{a,b}) or the fixed-shape FG conjecture."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)       # so _replace checks the fields too
 
 
-@dataclass(frozen=True)
-class SerreFit:
+class SerreFit(NamedTuple):
     """Least-squares fit log p_min = e * log n + log c."""
 
     exponent_e: float
@@ -89,8 +108,7 @@ class SerreFit:
     low_confidence: bool        # fewer than 3 points
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     n: int
     x: float
     error: float
@@ -99,8 +117,7 @@ class ScanRow:
     range_waived: bool
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     family: BoundFamily
     rows: Tuple[ScanRow, ...]
     slope: float
@@ -121,14 +138,22 @@ def abs_error(s: ChebotarevSample) -> float:
     return abs(s.pi_D - main_term(s))
 
 
+def check_scope(variant: str, family: str, D_size: int = 1) -> None:
+    """Raise IncompatibleVariantError unless the template takes a sample of
+    this family and |D|.  With the default D_size: unless it takes some
+    sample of the family, which a scan can ask before it builds one.
+    """
+    if variant == "FG" and (family != "cyclotomic" or D_size != 1):
+        raise IncompatibleVariantError(
+            "FG applies to cyclotomic samples with a single residue class"
+        )
+
+
 def bound_denominator(f: BoundFamily, s: ChebotarevSample) -> float:
     """Template value at the sample; natural log of M throughout."""
+    check_scope(f.variant, s.family, s.D_size)
     x_part = s.x ** (0.5 + f.epsilon)
     if f.variant == "FG":
-        if s.family != "cyclotomic" or s.D_size != 1:
-            raise IncompatibleVariantError(
-                "FG applies to cyclotomic samples with a single residue class"
-            )
         return x_part * (2 * s.n) ** -0.5
     if s.D_size == 0 and f.a < 0:
         raise ValueError("D_size = 0 with a < 0 makes the template singular")

@@ -25,9 +25,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from . import sieve
 from .dihedral import _validate_n
@@ -36,12 +34,11 @@ _ROW_BITS = sieve.SEGMENT_ODDS  # odd flags per aligned segment: one row
 _ROW_BYTES = _ROW_BITS // 8
 
 
-@dataclass(frozen=True, eq=False)
-class CyclotomicInstance:
+class CyclotomicInstance(NamedTuple):
     """One built family member: modulus, threshold and the residue set D.
 
     D is a bitset: bit k is set iff the odd residue 2k + 1 lies in D, so
-    membership is a shift.
+    membership is a shift.  Equality is by value, D included.
     """
 
     r: int
@@ -88,7 +85,8 @@ def _walk(ns: list[int], alpha: float) -> Iterator[tuple[CyclotomicInstance, int
 
     Row k of the flags is held for the recounts and OR-ed into
     slots[k mod len(slots)].  Each n divides len(slots) * 2^20 or is below
-    2^20, so a member's classes hit are a fold of the slots.
+    2^20, so a member's classes hit are a fold of the slots.  `held` is
+    the popcount of the held rows, kept as they are appended.
     """
     if not ns:
         return
@@ -96,13 +94,14 @@ def _walk(ns: list[int], alpha: float) -> Iterator[tuple[CyclotomicInstance, int
     pending = [(n, T, math.ceil(T) // 2) for n, T in zip(ns, Ts)]  # odds below T
     slots = [0] * max(1, ns[-1] // _ROW_BITS)
     rows: list[int] = []                        # the rows before row k
+    held = 0
     for k, row in enumerate(sieve.odd_rows(Ts[-1])):
         while pending and pending[0][2] <= (k + 1) * _ROW_BITS:
             n, T, bits = pending.pop(0)
             rows.append(row & ((1 << (bits - k * _ROW_BITS)) - 1))  # cut at T
             hit = _fold(slots, k, rows[-1], n)
             # the primes below T minus those in a class the fold marks hit
-            pi_D = sum(map(int.bit_count, rows)) - _ones(rows, hit)
+            pi_D = held + rows[-1].bit_count() - _ones(rows, hit)
             rows.pop()
             if not pending:                 # the last member: nothing else reads them
                 rows.clear()
@@ -114,6 +113,7 @@ def _walk(ns: list[int], alpha: float) -> Iterator[tuple[CyclotomicInstance, int
         if not pending:
             return
         rows.append(row)
+        held += row.bit_count()
         slots[k % len(slots)] |= row
 
 
@@ -199,11 +199,13 @@ def peak_bytes(n: int, alpha: float) -> int:
     per odd integer.  The charge exceeds that: four times the flags below
     T in whole segments, n + n/4 bytes for the ints of n bits, and the
     workspace at 3 bytes per odd integer.  T is kept as an exact rational,
-    so no n overflows a float.  The family holds the flags below its
-    largest T, so the bound at its largest n covers every member.
+    the float log(n)^alpha as num / den, so no n overflows a float.  The
+    family holds the flags below its largest T, so the bound at its
+    largest n covers every member.
     """
     step = 2 * sieve.SEGMENT_ODDS
-    segments = math.ceil(n * Fraction(math.log(n) ** alpha) / step)
+    num, den = (math.log(n) ** alpha).as_integer_ratio()
+    segments = -(-n * num // (den * step))      # ceil(T / step)
     return n + n // 4 + 4 * (segments * step // 16) + 3 * sieve.SEGMENT_ODDS
 
 

@@ -24,8 +24,7 @@ import math
 import os
 import threading
 import zlib
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
 
 if TYPE_CHECKING:
     import numpy as np
@@ -43,8 +42,7 @@ def _odds_in(lo: int, hi: int) -> int:
     return hi // 2 - lo // 2
 
 
-@dataclass(frozen=True)
-class PrimeRange:
+class PrimeRange(NamedTuple):
     """Packed primality flags for the odd integers in [lo, hi).
 
     Bit k (LSB-first within each byte) corresponds to the k-th odd integer

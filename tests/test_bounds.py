@@ -36,30 +36,57 @@ class TestSampleValidation:
         assert sample(D_size=0).D_size == 0
 
     def test_rejects_bad_fields(self):
-        with pytest.raises(ValueError):
-            sample(family="quintic")
-        with pytest.raises(ValueError):
-            sample(D_size=9)            # exceeds n
-        with pytest.raises(ValueError):
-            sample(alpha_G=0)
-        with pytest.raises(ValueError):
-            sample(alpha_G=9)
-        with pytest.raises(ValueError):
-            sample(pi_D=-1)
-        with pytest.raises(ValueError):
-            sample(x=-1.0)
-        with pytest.raises(ValueError):
-            sample(M=1)
+        def message(**kwargs) -> str:
+            with pytest.raises(ValueError) as info:
+                sample(**kwargs)
+            return str(info.value)
+
+        assert message(family="quintic") == "unknown family 'quintic'"
+        assert message(n=1, D_size=1, alpha_G=1) == "n must be at least 2"
+        assert message(D_size=9) == "need 0 <= D_size <= n"    # exceeds n
+        assert message(alpha_G=0) == "need 1 <= alpha_G <= n"
+        assert message(alpha_G=9) == "need 1 <= alpha_G <= n"
+        assert message(pi_D=-1) == "pi_D must be nonnegative"
+        assert message(x=-1.0, li_x=0.0) == "x must be nonnegative"
+        assert message(M=1) == "M must be at least 2"
 
 
 class TestBoundFamilyValidation:
     def test_rejects_bad_variant_and_epsilon(self):
-        with pytest.raises(ValueError):
-            bounds.BoundFamily("D", 0.5, 0.0, 0.01)
-        with pytest.raises(ValueError):
-            bounds.BoundFamily("C", 0.5, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            bounds.BoundFamily("C", 0.5, 0.0, -0.1)
+        def message(*args) -> str:
+            with pytest.raises(ValueError) as info:
+                bounds.BoundFamily(*args)
+            return str(info.value)
+
+        assert message("D", 0.5, 0.0, 0.01) == (
+            "variant must be one of ('C', 'Cprime', 'FG')")
+        for eps in (0.0, -0.1, math.nan):
+            assert message("C", 0.5, 0.0, eps) == "epsilon must be positive"
+
+
+class TestRecords:
+    def test_replace_checks_the_fields(self):
+        with pytest.raises(ValueError, match="n must be at least 2"):
+            sample()._replace(n=1)
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            bounds.BoundFamily("C")._replace(epsilon=0.0)
+        assert sample()._replace(pi_D=3).pi_D == 3
+
+    def test_positional_defaults(self):
+        s = bounds.ChebotarevSample("dihedral", 16, 256.0, 0, 1.0, 1, 7)
+        assert s.M == 2
+        assert bounds.BoundFamily("C") == ("C", 0.0, 0.0, 0.01)
+
+    def test_fields_are_read_only(self, dihedral_samples):
+        fam = bounds.BoundFamily("Cprime", 0.5, -0.5, 0.01)
+        report = bounds.falsification_scan(
+            fam, [dihedral_samples[r] for r in range(4, 7)])
+        fit = bounds.serre_fit([(4, 17), (8, 73), (16, 257)])
+        for record in (dihedral_samples[4], fam, fit, report,
+                       report.rows[0]):
+            for name in (*record._fields, "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(record, name, 0)
 
 
 class TestMainTermAndError:

@@ -180,6 +180,19 @@ class TestResourceGuard:
         assert cyclotomic.peak_bytes(1 << 29, 0.5) <= MEMORY_BUDGET
         assert cyclotomic.peak_bytes(1 << 30, 0.5) > MEMORY_BUDGET
 
+    @pytest.mark.parametrize("alpha", [0.01, 0.1, 0.5, 0.99])
+    def test_peak_bytes_equals_the_rational_formula(self, alpha):
+        # the charge as it was written with fractions.Fraction
+        from fractions import Fraction
+
+        step = 2 * sieve.SEGMENT_ODDS
+        for r in range(2, 41):
+            n = 1 << r
+            segments = math.ceil(n * Fraction(math.log(n) ** alpha) / step)
+            want = (n + n // 4 + 4 * (segments * step // 16)
+                    + 3 * sieve.SEGMENT_ODDS)
+            assert cyclotomic.peak_bytes(n, alpha) == want, r
+
     @pytest.mark.parametrize("alpha", [0.5, 0.99])
     @pytest.mark.parametrize("r", [16, 20, 22])
     def test_peak_bytes_bound_traced_peak(self, r, alpha):
@@ -349,6 +362,35 @@ class TestFalsifyCommand:
                          "--variant", "FG", "--r-min", "8", "--r-max", "10")
         assert rc == EXIT_USAGE
         assert "FG" in err
+
+    def test_fg_stops_the_walk_at_the_first_member(self, capsys,
+                                                   monkeypatch):
+        # r = 8 has T < 2^21, so its member needs the first segment only
+        calls = []
+        sieve_range = sieve.sieve_range
+
+        def counted(lo, hi):
+            calls.append((lo, hi))
+            return sieve_range(lo, hi)
+
+        monkeypatch.setattr(sieve, "sieve_range", counted)
+        rc, out, err = run(capsys, "falsify", "--family", "cyclotomic",
+                           "--variant", "FG", "--r-min", "8", "--r-max", "24")
+        assert rc == EXIT_USAGE and out == ""
+        assert err == ("error: FG applies to cyclotomic samples with a "
+                       "single residue class\n")
+        assert calls == [(0, 2 * sieve.SEGMENT_ODDS)]
+
+    def test_fg_on_dihedral_builds_no_sample(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(dihedral, "pi_D_dihedral",
+                            lambda *args: calls.append(args))
+        rc, out, err = run(capsys, "falsify", "--family", "dihedral",
+                           "--variant", "FG", "--r-min", "4", "--r-max", "12")
+        assert rc == EXIT_USAGE and out == ""
+        assert err == ("error: FG applies to cyclotomic samples with a "
+                       "single residue class\n")
+        assert calls == []
 
 
 class TestSerreCommand:
@@ -600,6 +642,67 @@ class TestWithoutNumpy:
         bare = self.python("-c", BLOCK_NUMPY + code, cache_dir=tmp_path)
         assert bare.returncode == 0, bare.stderr
         assert bare.stdout == normal.stdout
+
+
+class TestStartUpModules:
+    """Start-up and the commands that sieve nothing load no module that
+    only some runs need: records are NamedTuples, so no dataclasses (and
+    its inspect), peak_bytes is integer arithmetic, so no fractions (and
+    its decimal), and json is imported under --format json alone."""
+
+    HEAVY = ("dataclasses", "inspect", "fractions", "decimal", "json",
+             "numpy")
+    CODE = ("import sys; import cheblab.cli; "
+            "rc = cheblab.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
+            f"print('loaded=' + ' '.join(m for m in {HEAVY!r} "
+            "if m in sys.modules)); sys.exit(rc)")
+
+    @pytest.mark.parametrize("argv, allowed", [
+        ((), ""),
+        (("serre", "--r-min", "2", "--r-max", "12"), ""),
+        (("falsify", "--family", "dihedral", "--r-min", "4", "--r-max",
+          "12"), ""),
+        (("serre", "--r-min", "2", "--r-max", "12", "--format", "json"),
+         "json"),
+        (("falsify", "--family", "dihedral", "--r-min", "4", "--r-max",
+          "12", "--format", "json"), "json"),
+    ], ids=["import", "serre", "falsify-dihedral", "serre-json",
+            "falsify-dihedral-json"])
+    def test_loaded_modules(self, argv, allowed):
+        proc = TestWithoutNumpy.python("-c", self.CODE, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "loaded=" + allowed
+
+
+class TestRecordsStayOutOfReports:
+    """The records are tuples, and _fmt joins a tuple with ';' where
+    json.dumps writes a list: every report value must be a scalar or a
+    list, never a record."""
+
+    @pytest.mark.parametrize("argv", [
+        ("dihedral", "--r-min", "2", "--r-max", "4"),
+        ("cyclotomic", "--r-min", "2", "--r-max", "8"),
+        ("falsify", "--family", "dihedral", "--r-min", "4", "--r-max", "6"),
+        ("falsify", "--family", "cyclotomic", "--r-min", "8", "--r-max",
+         "10"),
+        ("serre", "--r-min", "2", "--r-max", "5"),
+        ("sieve-check", "--limit", "1000"),
+    ], ids=lambda argv: "-".join(argv[:3:2]))
+    def test_no_tuple_reaches_the_renderer(self, argv, capsys, monkeypatch):
+        emitted = []
+        emit = cli._emit
+
+        def recorded(args, rows, summary=None):
+            emitted.append((rows, summary))
+            return emit(args, rows, summary)
+
+        monkeypatch.setattr(cli, "_emit", recorded)
+        rc, _, _ = run(capsys, *argv)
+        assert rc == EXIT_OK
+        (rows, summary), = emitted
+        values = [v for row in rows for v in row.values()]
+        values += list((summary or {}).values())
+        assert rows and not any(isinstance(v, tuple) for v in values)
 
 
 class TestTraceHarness:

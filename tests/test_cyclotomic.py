@@ -245,6 +245,19 @@ class TestFoldAgainstSievedPrimes:
                 assert cyclotomic.pi_D_cyclotomic(inst, x) == expected
 
 
+class TestInstanceRecord:
+    def test_fields_are_read_only(self):
+        inst = cyclotomic.build_D(16, 0.5)
+        for name in ("r", "n", "q", "alpha", "T", "D", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(inst, name, 0)
+
+    def test_equality_is_by_value_including_D(self):
+        inst = cyclotomic.build_D(16, 0.5)
+        assert inst == cyclotomic.build_D(16, 0.5)
+        assert inst != inst._replace(D=inst.D ^ 1)
+
+
 class TestDensityRatio:
     def test_hand_example(self):
         assert cyclotomic.density_ratio(cyclotomic.build_D(4, 0.5)) == 0.75

@@ -92,6 +92,12 @@ class TestSieveRange:
             tracemalloc.stop()
         assert peak < 1.5 * (1 << 20)
 
+    def test_fields_are_read_only(self):
+        r = sieve.sieve_range(0, 100)
+        for name in ("lo", "hi", "flags", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(r, name, 0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             sieve.sieve_range(10, 5)
