@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 failed self-check or exhausted search,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -393,6 +394,11 @@ def _validate(args: argparse.Namespace) -> Optional[str]:
         return "--workers must be at least 1"
     if hasattr(args, "alpha") and not 0.0 < args.alpha < 1.0:
         return f"--alpha must lie in (0, 1), got {args.alpha}"
+    # every check below is a comparison, which nan passes
+    for name in ("a", "b", "epsilon", "range_alpha"):
+        value = getattr(args, name, 0.0)
+        if not math.isfinite(value):
+            return f"--{name.replace('_', '-')} must be finite, got {value}"
     if hasattr(args, "epsilon") and args.epsilon <= 0:
         return "--epsilon must be positive"
     if hasattr(args, "range_alpha") and args.range_alpha < 0:

@@ -195,11 +195,12 @@ def peak_bytes(n: int, alpha: float) -> int:
 
     The pass holds the flags below T once, as rows of 2^20 bits (T/16
     bytes), the accumulator of max(n, 2^20) bits, one member's fold and
-    D, n/8 bytes each, and one sieve segment's workspace, about 1.25 bytes
-    per odd integer.  The charge exceeds that: four times the flags below
-    T in whole segments, n + n/4 bytes for the ints of n bits, and the
-    workspace at 3 bytes per odd integer.  T is kept as an exact rational,
-    the float log(n)^alpha as num / den, so no n overflows a float.  The
+    D, n/8 bytes each, and one sieve segment's workspace: a byte per odd
+    integer and the packed flags, about 1.27 bytes per odd integer.  The
+    charge exceeds that: four times the flags below T in whole segments,
+    n + n/4 bytes for the ints of n bits, and the workspace at 3 bytes
+    per odd integer.  T is kept as an exact rational, the float
+    log(n)^alpha as num / den, so no n overflows a float.  The
     family holds the flags below its largest T, so the bound at its
     largest n covers every member.
     """

@@ -1,25 +1,30 @@
 """Segmented, odd-only sieve of Eratosthenes with packed primality flags.
 
 Flags carry one bit per odd integer; the prime 2 is reintroduced by the
-query layer.  sieve_range strikes one mask for [lo, hi) against all base
-primes below sqrt(hi).  Every reader walks whole aligned segments
+query layer.  sieve_range fills one byte per odd integer of [lo, hi)
+from a wheel for 3..13, strikes the multiples of the other base primes
+below sqrt(hi) with bytearray slices, and packs the bytes to bits.
+Every reader walks whole aligned segments
 [k * 2 * SEGMENT_ODDS, (k + 1) * 2 * SEGMENT_ODDS), and only those are
 cached on disk, so the cache keys do not depend on x or on which reader
 asked.  Cache files end in a CRC-32 of header and payload, so a damaged
 file is recomputed rather than read.  The module holds no state between
-calls.
+calls but the base primes of the last range.
 
 odd_rows is the one reader of the flags as bits: one int of SEGMENT_ODDS
 bits per segment, on which prime_count and the cyclotomic family are
 popcounts.  PrimeRange.odd_primes and prime_chunks read the primes as
-arrays.  numpy is the sieve's kernel and is imported only where it is
-used: to sieve a range the cache does not hold, and by the array
-readers.  A cache hit and odd_rows are pure bytes and ints.
+arrays, with numpy; nothing else here imports it.  The kernel is pure
+Python: it packs the bytes to bits by OR-ing eight strided slices as
+ints, so sieving a range, a cache hit and odd_rows are bytes and ints.
 """
 
 from __future__ import annotations
 
+import bisect
 import contextlib
+import functools
+import itertools
 import math
 import os
 import threading
@@ -69,40 +74,95 @@ class PrimeRange(NamedTuple):
         return (self.lo | 1) + 2 * index
 
 
-def _base_odd_primes(limit: int) -> np.ndarray:
-    """Odd primes <= limit via a dense in-memory sieve (limit <= sqrt(2^63))."""
-    import numpy as np
+@functools.lru_cache(maxsize=1)
+def _base_odd_primes(limit: int) -> tuple[int, ...]:
+    """Odd primes <= limit (limit >= 1), increasing, by an odd-only
+    sieve: byte i stands for 2i + 1."""
+    size = (limit + 1) // 2
+    odd = bytearray(b"\x01") * size
+    odd[0] = 0                  # 1 is not prime
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2::p] = bytes(len(range(p * p // 2, size, p)))
+    return tuple(itertools.compress(range(1, limit + 1, 2), odd))
 
-    if limit < 3:
-        return np.empty(0, dtype=np.int64)
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.flatnonzero(mask)[1:].astype(np.int64)  # drop 2
+
+_WHEEL_PRIMES = (3, 5, 7, 11, 13)
+_WHEEL_ODDS = 3 * 5 * 7 * 11 * 13   # the wheel's period in odd integers
 
 
-def _sieve_segment(mask: np.ndarray, lo: int, hi: int, base: np.ndarray) -> None:
-    """Strike the odd composites in [lo, hi) from mask, one bool per odd integer."""
-    if mask.size == 0:
-        return
+def _wheel() -> memoryview:
+    """Byte i is 1 << (i % 8) if 2i + 1 is prime to 3..13, else 0, for i
+    below lcm(8, 15015): the pattern every segment starts from."""
+    wheel = bytearray(bytes(1 << b for b in range(8))) * _WHEEL_ODDS
+    for p in _WHEEL_PRIMES:
+        wheel[p // 2::p] = bytes(len(range(p // 2, len(wheel), p)))
+    return memoryview(bytes(wheel))
+
+
+_WHEEL = _wheel()
+_PACK_PIECE = 1 << 17           # row bytes packed at once; a multiple of 8
+
+
+def _odd_bytes(lo: int, hi: int) -> bytearray:
+    """The odd integers of [lo, hi), one byte each: byte i is 1 << (i % 8)
+    if (lo | 1) + 2i is prime, else 0, so eight bytes OR to one flag byte."""
+    size = _odds_in(lo, hi)
+    row = bytearray(size)
+    # start at the wheel byte of lo | 1 (index lo // 2 mod 15015) that has
+    # bit 0: since 15015 = -1 mod 8, t periods on the bit is t lower
+    at = lo // 2 % _WHEEL_ODDS
+    at += _WHEEL_ODDS * (at % 8)
+    done = 0
+    while done < size:
+        piece = _WHEEL[at:at + size - done]
+        row[done:done + len(piece)] = piece
+        done += len(piece)
+        at = 0
     first = lo | 1
-    if first == 1:
-        mask[0] = False
-    for p in base.tolist():
-        pp = p * p
-        if pp >= hi:
-            break
-        start = (lo + p - 1) // p * p
-        if start % 2 == 0:
-            start += p
-        if start < pp:
-            start = pp
-        if start >= hi:
-            continue
-        # consecutive odd multiples of p differ by 2p: stride p in odd-index space
-        mask[(start - first) // 2 :: p] = False
+    if first == 1 and size:
+        row[0] = 0              # 1 is not prime
+    # the base primes below sqrt(hi), and at least 3..13, cut from those
+    # below a power of two, which the segments of a walk share
+    root = math.isqrt(max(hi - 1, _WHEEL_PRIMES[-1] ** 2))
+    base = _base_odd_primes(1 << root.bit_length())
+    base = base[:bisect.bisect_right(base, root)]
+    # a bytearray of the run's exact length is assigned without a copy;
+    # as p grows the run shrinks, or grows by at most one
+    zeros = bytearray(size // 17 + 1)   # 17: the least prime struck
+    for p in base[len(_WHEEL_PRIMES):]:
+        d = -first % p          # first + d: the least multiple of p >= first
+        i = (d + p * (d & 1)) >> 1  # first + 2i: the least odd one
+        if i < size:
+            # odd multiples of p are p apart in odd-index space
+            count = (size - 1 - i) // p + 1
+            if count < len(zeros):
+                del zeros[count:]
+            elif count > len(zeros):
+                zeros.append(0)
+            row[i::p] = zeros
+    # the wheel and the strike cleared each base prime as its own multiple
+    for p in base[bisect.bisect_left(base, lo):bisect.bisect_left(base, hi)]:
+        i = (p - first) // 2
+        row[i] = 1 << i % 8
+    return row
+
+
+def _packed(row: bytearray) -> bytes:
+    """Eight bytes of the row to one flag byte, LSB first: the row's
+    bytes k, k + 8, ... hold only bit k, so their eight slices OR.  A
+    piece at a time, so that the slices and ints are small beside the row."""
+    size = len(row)
+    flags = bytearray((size + 7) // 8)
+    for at in range(0, size, _PACK_PIECE):
+        end = min(at + _PACK_PIECE, size)
+        bits = 0
+        for k in range(8):
+            bits |= int.from_bytes(row[at + k:end:8], "little")
+        flags[at // 8:(end + 7) // 8] = bits.to_bytes((end - at + 7) // 8,
+                                                      "little")
+    return bytes(flags)
 
 
 def _cache_path(cache_dir: str, lo: int, hi: int) -> str:
@@ -179,12 +239,7 @@ def sieve_range(lo: int, hi: int) -> PrimeRange:
     if cached is not None:
         return PrimeRange(lo, hi, cached)
 
-    import numpy as np
-
-    base = _base_odd_primes(math.isqrt(hi - 1) if hi > 1 else 0)
-    mask = np.ones(_odds_in(lo, hi), dtype=bool)
-    _sieve_segment(mask, lo, hi, base)
-    flags = np.packbits(mask, bitorder="little").tobytes()
+    flags = _packed(_odd_bytes(lo, hi))
     if whole_segment:
         _cache_store(lo, hi, flags)
     return PrimeRange(lo, hi, flags)

@@ -144,6 +144,22 @@ class TestUsageErrors:
         rc, _, _ = run(capsys, "dihedral", "--workers", "0")
         assert rc == EXIT_USAGE
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("option", ["--a", "--b", "--epsilon",
+                                        "--range-alpha"])
+    def test_non_finite_template_values(self, option, value, capsys,
+                                        monkeypatch):
+        # refused before any segment is sieved or sample built
+        sieved = []
+        monkeypatch.setattr(sieve, "sieve_range",
+                            lambda lo, hi: sieved.append((lo, hi)))
+        rc, out, err = run(capsys, "falsify", "--family", "cyclotomic",
+                           "--r-min", "8", "--r-max", "12",
+                           f"{option}={value}")
+        assert rc == EXIT_USAGE
+        assert (out, sieved) == ("", [])
+        assert err == f"error: {option} must be finite, got {value}\n"
+
 
 class TestResourceGuard:
     # The dihedral commands sieve nothing.  They stop where their values
@@ -196,10 +212,6 @@ class TestResourceGuard:
     @pytest.mark.parametrize("alpha", [0.5, 0.99])
     @pytest.mark.parametrize("r", [16, 20, 22])
     def test_peak_bytes_bound_traced_peak(self, r, alpha):
-        # A cold sieve imports numpy; its module objects are not bytes the
-        # build holds, so they are loaded before the peak is traced.
-        import numpy  # noqa: F401
-
         tracemalloc.start()
         try:
             cyclotomic_sample(r, alpha)
@@ -519,17 +531,20 @@ class TestSieveCheckCommand:
 
     def test_pieces_are_sieved_under_a_cache(self, capsys, monkeypatch,
                                              tmp_path):
-        # a sieve that drops p = 3 in every piece shorter than a segment
-        # and not starting at 0: the check must see it, cache or not
+        # a sieve that leaves the first odd multiple of 3 marked prime in
+        # every piece shorter than a segment and not starting at 0: the
+        # check must see it, cache or not
         monkeypatch.setenv(sieve.CACHE_ENV, str(tmp_path))
-        strike = sieve._sieve_segment
+        strike = sieve._odd_bytes
 
-        def faulty(mask, lo, hi, base):
+        def faulty(lo, hi):
+            row = strike(lo, hi)
             if lo != 0 and hi - lo < 2 * sieve.SEGMENT_ODDS:
-                base = base[base != 3]
-            strike(mask, lo, hi, base)
+                i = next(i for i in range(3) if ((lo | 1) + 2 * i) % 3 == 0)
+                row[i] = 1 << i % 8
+            return row
 
-        monkeypatch.setattr(sieve, "_sieve_segment", faulty)
+        monkeypatch.setattr(sieve, "_odd_bytes", faulty)
         rc, out, _ = run(capsys, "sieve-check")
         assert rc == EXIT_FAILURE
         _, rows, _ = parse_csv(out)
@@ -597,13 +612,21 @@ class TestDeterminismQuick:
 BLOCK_NUMPY = "import sys; sys.modules['numpy'] = None; "
 
 
+# The cold cyclotomic commands of the paper: 33 segments below T(2^24).
+COLD_CYCLOTOMIC = {
+    "cyclotomic-cold": ("cyclotomic", "--r-min", "2", "--r-max", "24"),
+    "falsify-cyclotomic-cold": ("falsify", "--family", "cyclotomic",
+                                "--r-min", "8", "--r-max", "24"),
+}
+
+
 class TestWithoutNumpy:
-    """Only a sieve cache miss, the array readers and sieve-check may
-    import numpy."""
+    """Only the array readers and sieve-check may import numpy."""
 
     @staticmethod
     def python(*args, cache_dir=None) -> subprocess.CompletedProcess:
         env = {k: v for k, v in os.environ.items() if k != sieve.CACHE_ENV}
+        env["PYTHONPATH"] = str(Path(__file__).parents[1] / "src")
         if cache_dir is not None:
             env[sieve.CACHE_ENV] = str(cache_dir)
         return subprocess.run([sys.executable, *args], capture_output=True,
@@ -630,6 +653,17 @@ class TestWithoutNumpy:
         assert bare.returncode == 0, bare.stderr
         assert bare.stdout == normal.stdout
 
+    @pytest.mark.parametrize("argv", list(COLD_CYCLOTOMIC.values()),
+                             ids=list(COLD_CYCLOTOMIC))
+    def test_cold_sieve_same_stdout(self, argv):
+        # no cache: the bare run sieves every segment without numpy
+        normal = self.python("-m", "cheblab", *argv)
+        assert normal.returncode == 0, normal.stderr
+        bare = self.python("-c", BLOCK_NUMPY + "from cheblab.cli import main; "
+                           "sys.exit(main(sys.argv[1:]))", *argv)
+        assert bare.returncode == 0, bare.stderr
+        assert bare.stdout == normal.stdout
+
     def test_counts_over_a_warm_cache(self, tmp_path):
         # odd_rows reads cached flags as ints: neither count needs numpy
         code = ("from cheblab import cyclotomic, sieve; "
@@ -645,10 +679,12 @@ class TestWithoutNumpy:
 
 
 class TestStartUpModules:
-    """Start-up and the commands that sieve nothing load no module that
-    only some runs need: records are NamedTuples, so no dataclasses (and
-    its inspect), peak_bytes is integer arithmetic, so no fractions (and
-    its decimal), and json is imported under --format json alone."""
+    """Start-up, the commands that sieve nothing and the cold cyclotomic
+    commands of the paper load no module that only some runs need:
+    records are NamedTuples, so no dataclasses (and its inspect),
+    peak_bytes is integer arithmetic, so no fractions (and its decimal),
+    json is imported under --format json alone, and the sieve strikes and
+    packs without numpy."""
 
     HEAVY = ("dataclasses", "inspect", "fractions", "decimal", "json",
              "numpy")
@@ -666,8 +702,9 @@ class TestStartUpModules:
          "json"),
         (("falsify", "--family", "dihedral", "--r-min", "4", "--r-max",
           "12", "--format", "json"), "json"),
+        *((argv, "") for argv in COLD_CYCLOTOMIC.values()),
     ], ids=["import", "serre", "falsify-dihedral", "serre-json",
-            "falsify-dihedral-json"])
+            "falsify-dihedral-json", *COLD_CYCLOTOMIC])
     def test_loaded_modules(self, argv, allowed):
         proc = TestWithoutNumpy.python("-c", self.CODE, *argv)
         assert proc.returncode == 0, proc.stderr

@@ -118,10 +118,7 @@ class TestMeasureFamily:
     def test_traced_peak_holds_the_flags_once(self):
         # The pass holds the 33 whole segments of flags below T(2^24) once
         # (2^17 bytes each), the accumulator and D (2^24 / 8 bytes each),
-        # and one sieve segment's workspace.  A cold sieve imports numpy;
-        # its module objects are not bytes the pass holds.
-        import numpy  # noqa: F401
-
+        # and one sieve segment's workspace.
         ns = [1 << r for r in range(8, 25)]
         tracemalloc.start()
         try:

@@ -7,6 +7,7 @@ import contextlib
 import io
 import math
 import os
+import random
 import threading
 import tracemalloc
 import zlib
@@ -82,8 +83,8 @@ class TestSieveRange:
         assert many == one.flags
 
     def test_workspace_is_one_mask(self):
-        # one bool per odd integer and the packed flags twice: about
-        # 1.25 bytes per odd integer, not a mask and its joined copy
+        # one byte per odd integer and the packed flags twice: about
+        # 1.27 bytes per odd integer, not a row and a copy of it
         tracemalloc.start()
         try:
             sieve.sieve_range(0, 2 * sieve.SEGMENT_ODDS)
@@ -116,6 +117,81 @@ class TestSieveRange:
             oracles.range_is_prime(rng, 20)
         with pytest.raises(ValueError):
             oracles.range_is_prime(rng, 9)
+
+
+def odd_flags(flags: bytes, odds: int) -> list[bool]:
+    """The first `odds` flags as bools; the flags fill whole bytes, and
+    their padding bits are 0."""
+    assert len(flags) == (odds + 7) // 8
+    assert int.from_bytes(flags, "little") >> odds == 0
+    return [bool(flags[i >> 3] >> (i & 7) & 1) for i in range(odds)]
+
+
+def packbits(row: bytearray) -> bytes:
+    """numpy's packing of a row, which reads each nonzero byte as 1."""
+    return np.packbits(np.frombuffer(row, np.uint8),
+                       bitorder="little").tobytes()
+
+
+def weighted(bits: list[int]) -> bytearray:
+    """A row as the kernel makes it: byte i is bits[i] << (i % 8)."""
+    return bytearray(bit << i % 8 for i, bit in enumerate(bits))
+
+
+class TestKernel:
+    """The bytearray strike and its packer, against routes that share no
+    code with them: trial division, numpy's packbits, and flags of the
+    numpy kernel that 0.11.0 shipped, which CHEB2 files hold."""
+
+    # zlib.crc32 of the flags of aligned segment k, from 0.11.0
+    FROZEN_CRC = {0: 0x90273B8A, 1: 0x3B94E8B5, 32: 0x5B4800DD,
+                  563: 0xF88FA1AC}
+
+    # the wheel clears 3..13 and the strike each base prime from 17 as a
+    # multiple of itself, and both put them back; 289, 361 and 529 are
+    # the least multiples struck for 17, 19 and 23
+    @pytest.mark.parametrize("lo,hi", [
+        (0, 2), (1, 16), (3, 14), (5, 6), (7, 8), (11, 12), (13, 14),
+        (12, 18), (13, 600), (289, 290), (288, 292), (361, 362), (529, 530),
+        (520, 540)])
+    def test_small_primes_and_least_struck_squares(self, lo, hi):
+        want = [oracles.trial_is_prime(m) for m in range(lo | 1, hi, 2)]
+        assert odd_flags(sieve.sieve_range(lo, hi).flags, len(want)) == want
+
+    @pytest.mark.parametrize("k", sorted(FROZEN_CRC))
+    def test_frozen_segments(self, k):
+        lo, hi = k * STEP, (k + 1) * STEP
+        assert zlib.crc32(sieve.sieve_range(lo, hi).flags) \
+            == self.FROZEN_CRC[k]
+
+    # windows whose first odd integer has an odd index (lo | 1) // 2 that
+    # is not a multiple of 8, so a row's bit i is not that index's bit
+    @given(st.one_of(st.integers(0, 1 << 40), st.integers(1 << 39, 1 << 40))
+           .filter(lambda lo: (lo | 1) // 2 % 8),
+           st.integers(0, 64))
+    @example((1 << 40) - 64, 64)
+    @example(2, 13)
+    @settings(max_examples=25, deadline=None)
+    def test_windows_up_to_2_40(self, lo, width):
+        hi = lo + width
+        want = [oracles.trial_is_prime(m) for m in range(lo | 1, hi, 2)]
+        assert odd_flags(sieve.sieve_range(lo, hi).flags, len(want)) == want
+
+    @pytest.mark.parametrize("size", [
+        0, 1, 7, 8, 9, 1000, sieve._PACK_PIECE - 1, sieve._PACK_PIECE,
+        sieve._PACK_PIECE + 1, 2 * sieve._PACK_PIECE + 13])
+    def test_packer_on_random_rows(self, size):
+        rng = random.Random(size)
+        row = weighted([rng.getrandbits(1) for _ in range(size)])
+        want = bytes(sum(row[j:j + 8]) for j in range(0, size, 8))
+        assert sieve._packed(row) == want
+
+    @pytest.mark.parametrize("lo,hi", [
+        (0, STEP), (STEP, 2 * STEP), (32 * STEP, 33 * STEP), (0, 10 ** 5),
+        (12345, 12345 + 3 * 10 ** 5), (STEP - 77, STEP + 1001)])
+    def test_packer_matches_packbits_on_segments(self, lo, hi):
+        row = sieve._odd_bytes(lo, hi)
+        assert sieve._packed(row) == packbits(row)
 
 
 class TestPrimeCount:
