@@ -7,17 +7,20 @@ pi_D(T) = 0 while |D| >= n - pi(T), so |D| ~ n.
 
 The odd integer 2k + 1 lies in the class with index k mod n, and row k
 of sieve.odd_rows, the flags of aligned segment k as one int of 2^20
-bits, holds the indices [k * 2^20, (k + 1) * 2^20).  A family
-(measure_family, n strictly increasing) is one ordered pass over the rows
-below its largest T.  Each row is held and OR-ed into one accumulator of
-max(1, n_max / 2^20) rows, row k into slot k mod that many.  At a
-member's T its classes hit are a fold of the accumulator and the current
-row cut at T; D is the complement, an int of n bits.  Every held row lies
-wholly below T, so pi_D(T) is recounted over the held rows and the cut:
-their popcounts less those of each row AND the fold.  A fold that missed
-a class thus counts non-zero.  The last member is counted before the rows
-are dropped and its D is formed; nothing is kept between calls.
-pi_D_cyclotomic is the same popcount, of each row AND D.
+bits, holds the indices [k * 2^20, (k + 1) * 2^20).  D is kept as rows
+too: from n = 2^20 on, row t of D holds the classes [t * 2^20,
+(t + 1) * 2^20), and below it D is one row of n bits.  A family
+(measure_family, n strictly increasing) is one ordered pass over the
+rows below its largest T, each held as it comes.  At a member's T the
+rows held and the current row cut at T are folded one residue
+t mod m = n / 2^20 at a time: the classes hit in row t are the OR of
+rows[t::m], and D's row t is their complement.  Below n = 2^20 the OR of
+all the rows is halved to n bits.  Every held row lies wholly below T,
+so pi_D(T) is recounted over the held rows and the cut: their popcounts
+less those of each row AND the classes hit.  A fold that missed a class
+thus counts non-zero.  The last member drops each row once its residue
+is folded, so its D takes the rows' place; nothing is kept between
+calls.  pi_D_cyclotomic is the same popcount, of each row AND D.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import sieve
 from .dihedral import _validate_n
@@ -37,8 +40,10 @@ _ROW_BYTES = _ROW_BITS // 8
 class CyclotomicInstance(NamedTuple):
     """One built family member: modulus, threshold and the residue set D.
 
-    D is a bitset: bit k is set iff the odd residue 2k + 1 lies in D, so
-    membership is a shift.  Equality is by value, D included.
+    D is kept as rows of 2^20 bits, or one row of n bits below n = 2^20:
+    bit i of rows[t] is set iff the odd residue 2(t * 2^20 + i) + 1 lies
+    in D, so membership is an index and a shift.  Equality is by value,
+    the rows included.
     """
 
     r: int
@@ -46,11 +51,19 @@ class CyclotomicInstance(NamedTuple):
     q: int                      # modulus 2n = 2^(r+1)
     alpha: float
     T: float                    # n * log(n)^alpha
-    D: int
+    rows: tuple[int, ...]       # D
+
+    @property
+    def D(self) -> int:
+        """D as one int of n bits: bit k is set iff 2k + 1 lies in D."""
+        if len(self.rows) == 1:
+            return self.rows[0]
+        return int.from_bytes(b"".join(
+            row.to_bytes(_ROW_BYTES, "little") for row in self.rows), "little")
 
     @property
     def D_size(self) -> int:
-        return self.D.bit_count()
+        return sum(map(int.bit_count, self.rows))
 
     def contains(self, d: int) -> bool:
         """Membership of the residue d in D."""
@@ -58,7 +71,8 @@ class CyclotomicInstance(NamedTuple):
             raise ValueError(f"residue {d} outside [0, {self.q})")
         if d % 2 == 0:
             return False
-        return bool(self.D >> (d >> 1) & 1)
+        k = d >> 1
+        return bool(self.rows[k // _ROW_BITS] >> (k % _ROW_BITS) & 1)
 
 
 def measure_family(
@@ -67,7 +81,7 @@ def measure_family(
     """Yield (member, pi_D(T)) for each n in turn, from one ordered pass.
 
     ns must strictly increase.  The aligned segments below the largest T
-    are sieved once, in order; each member is folded from the accumulator
+    are sieved once, in order; each member is folded from the held rows
     when the pass reaches its T and is not held here once yielded.
     """
     ns = list(ns)
@@ -83,93 +97,75 @@ def measure_family(
 def _walk(ns: list[int], alpha: float) -> Iterator[tuple[CyclotomicInstance, int]]:
     """The pass of measure_family, over validated, increasing ns.
 
-    Row k of the flags is held for the recounts and OR-ed into
-    slots[k mod len(slots)].  Each n divides len(slots) * 2^20 or is below
-    2^20, so a member's classes hit are a fold of the slots.  `held` is
+    Row k of the flags is held for the later members' folds.  `held` is
     the popcount of the held rows, kept as they are appended.
     """
     if not ns:
         return
     Ts = [n * math.log(n) ** alpha for n in ns]
     pending = [(n, T, math.ceil(T) // 2) for n, T in zip(ns, Ts)]  # odds below T
-    slots = [0] * max(1, ns[-1] // _ROW_BITS)
     rows: list[int] = []                        # the rows before row k
     held = 0
     for k, row in enumerate(sieve.odd_rows(Ts[-1])):
         while pending and pending[0][2] <= (k + 1) * _ROW_BITS:
             n, T, bits = pending.pop(0)
             rows.append(row & ((1 << (bits - k * _ROW_BITS)) - 1))  # cut at T
-            hit = _fold(slots, k, rows[-1], n)
-            # the primes below T minus those in a class the fold marks hit
-            pi_D = held + rows[-1].bit_count() - _ones(rows, hit)
+            below = held + rows[-1].bit_count()     # the odd primes below T
+            # the last member drops the rows: nothing else reads them
+            D, inside = _fold(rows, n, drop=not pending)
             rows.pop()
-            if not pending:                 # the last member: nothing else reads them
-                rows.clear()
-                slots.clear()
+            # the primes below T minus those in a class the fold marks hit
             yield CyclotomicInstance(
-                r=n.bit_length() - 1, n=n, q=2 * n, alpha=alpha, T=T,
-                D=_complement(hit, n),
-            ), pi_D
+                r=n.bit_length() - 1, n=n, q=2 * n, alpha=alpha, T=T, rows=D,
+            ), below - inside
+            del D               # the consumer holds the member now, or not at all
         if not pending:
             return
         rows.append(row)
         held += row.bit_count()
-        slots[k % len(slots)] |= row
 
 
-def _fold(slots: list[int], k: int, partial: int, n: int) -> list[int]:
-    """Classes mod n hit by the slots and by `partial`, the cut row k, as
-    rows of 2^20 bits: row t covers classes [t * 2^20, (t + 1) * 2^20).
+def _fold(rows: list[int], n: int, drop: bool) -> tuple[tuple[int, ...], int]:
+    """D for n, as rows, from the classes that `rows` hit, and the number
+    of set bits of `rows` in a class hit.
 
-    From n = 2^20 on, row t is the OR of the slots j = t (mod n / 2^20);
-    below it, the OR of all slots is halved to n bits and tiled back to
-    one row.
+    From n = 2^20 on, row t of the classes hit is the OR of rows[t::m],
+    m = n / 2^20; with `drop` those rows are set to 0 once folded, so D's
+    row t can take their place.  Below it, the OR of all the rows is
+    halved to n bits.
     """
-    if n >= _ROW_BITS:
-        m = n // _ROW_BITS
-        hit = [functools.reduce(operator.or_, slots[t::m]) for t in range(m)]
-        hit[k % m] |= partial
-        return hit
-    hit, width = functools.reduce(operator.or_, slots, partial), _ROW_BITS
-    while width > n:
-        width //= 2
-        hit = (hit | hit >> width) & ((1 << width) - 1)
-    return _as_rows(hit, n)
-
-
-def _as_rows(bits: int, n: int) -> list[int]:
-    """An int of n bits as rows of 2^20 bits: tiled across one row below
-    n = 2^20, else cut into n / 2^20 rows."""
     if n < _ROW_BITS:
-        while n < _ROW_BITS:
-            bits |= bits << n
-            n *= 2
-        return [bits]
-    packed = memoryview(bits.to_bytes(n // 8, "little"))
-    return [int.from_bytes(packed[s:s + _ROW_BYTES], "little")
-            for s in range(0, len(packed), _ROW_BYTES)]
+        hit, width = functools.reduce(operator.or_, rows), _ROW_BITS
+        while width > n:
+            width //= 2
+            hit = (hit | hit >> width) & ((1 << width) - 1)
+        return (hit ^ ((1 << n) - 1),), _ones(rows, [_tile(hit, n)])
+    m, full = n // _ROW_BITS, (1 << _ROW_BITS) - 1
+    D, inside = [], 0
+    for t in range(m):
+        folded = rows[t::m]
+        hit = functools.reduce(operator.or_, folded, 0)
+        inside += _ones(folded, [hit])
+        if drop:
+            rows[t::m] = [0] * len(folded)
+        del folded
+        D.append(hit ^ full)
+    return tuple(D), inside
 
 
-def _ones(rows: Iterable[int], cover: list[int]) -> int:
+def _tile(row: int, n: int) -> int:
+    """A row of n bits repeated across 2^20 bits; from n = 2^20 on, the row."""
+    while n < _ROW_BITS:
+        row |= row << n
+        n *= 2
+    return row
+
+
+def _ones(rows: Iterable[int], cover: Sequence[int]) -> int:
     """Set bits of row k that are also set in cover[k mod len(cover)],
     summed over the rows."""
     m = len(cover)
     return sum((row & cover[k % m]).bit_count() for k, row in enumerate(rows))
-
-
-def _complement(hit: list[int], n: int) -> int:
-    """D, the n-bit complement of a fold.  hit is emptied as it is read,
-    so its rows are released while D is assembled."""
-    if n < _ROW_BITS:
-        return ~hit.pop() & ((1 << n) - 1)
-    full = (1 << _ROW_BITS) - 1
-    parts = []
-    for t in range(len(hit)):
-        parts.append((hit[t] ^ full).to_bytes(_ROW_BYTES, "little"))
-        hit[t] = 0
-    packed = b"".join(parts)    # bytes: int.from_bytes would copy a bytearray
-    del parts
-    return int.from_bytes(packed, "little")
 
 
 def build_D(n: int, alpha: float) -> CyclotomicInstance:
@@ -184,23 +180,23 @@ def build_D(n: int, alpha: float) -> CyclotomicInstance:
 def pi_D_cyclotomic(inst: CyclotomicInstance, x: float) -> int:
     """Number of odd primes p < x with p mod q in D; 2 is excluded.
 
-    The popcounts of each row k of the flags below x AND D, tiled across
-    2^20 bits or sliced to D's row k mod (n / 2^20).
+    The popcounts of each row k of the flags below x AND D's row
+    k mod (n / 2^20), or AND D tiled across 2^20 bits below n = 2^20.
     """
-    return _ones(sieve.odd_rows(x), _as_rows(inst.D, inst.n))
+    return _ones(sieve.odd_rows(x), [_tile(row, inst.n) for row in inst.rows])
 
 
 def peak_bytes(n: int, alpha: float) -> int:
     """Upper bound on the bytes held at once to build D for n and count pi_D(T).
 
     The pass holds the flags below T once, as rows of 2^20 bits (T/16
-    bytes), the accumulator of max(n, 2^20) bits, one member's fold and
-    D, n/8 bytes each, and one sieve segment's workspace: a byte per odd
-    integer and the packed flags, about 1.27 bytes per odd integer.  The
-    charge exceeds that: four times the flags below T in whole segments,
-    n + n/4 bytes for the ints of n bits, and the workspace at 3 bytes
-    per odd integer.  T is kept as an exact rational, the float
-    log(n)^alpha as num / den, so no n overflows a float.  The
+    bytes), one member's D of n/8 bytes, which the last member builds in
+    the place of the rows it drops, and one sieve segment's workspace: a
+    byte per odd integer and the packed flags, about 1.27 bytes per odd
+    integer.  The charge exceeds that: four times the flags below T in
+    whole segments, n + n/4 bytes for D and the fold, and the workspace
+    at 3 bytes per odd integer.  T is kept as an exact rational, the
+    float log(n)^alpha as num / den, so no n overflows a float.  The
     family holds the flags below its largest T, so the bound at its
     largest n covers every member.
     """

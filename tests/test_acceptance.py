@@ -158,6 +158,8 @@ DETERMINISM_COMMANDS = (
 
 def test_criterion_10_cli_determinism(criterion_reporter):
     env = {k: v for k, v in os.environ.items() if k != "CHEB_CACHE_DIR"}
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     unstable = []
     for cmd in DETERMINISM_COMMANDS:
         outputs = set()

@@ -771,9 +771,12 @@ class TestTraceHarness:
 
 class TestEntryPoints:
     def test_module_invocation(self):
+        env = dict(os.environ)
+        src = str(Path(__file__).parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "cheblab", "--help"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "falsify" in proc.stdout
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ def synthetic_instance(n: int, T: float) -> cyclotomic.CyclotomicInstance:
     """
     return cyclotomic.CyclotomicInstance(
         r=n.bit_length() - 1, n=n, q=2 * n, alpha=0.5, T=T,
-        D=(1 << n) - 1,
+        rows=((1 << n) - 1,),
     )
 
 
@@ -115,10 +117,24 @@ class TestMeasureFamily:
     def test_empty_family(self):
         assert list(cyclotomic.measure_family([], 0.5)) == []
 
+    @pytest.mark.parametrize("n,alpha", [(1 << 19, 0.99), (1 << 21, 0.5)],
+                             ids=["one-row", "two-rows"])
+    def test_a_fold_that_misses_a_row_counts_its_primes(self, n, alpha,
+                                                        monkeypatch):
+        # pi_D(T) is recounted over the flags, never taken as 0: a fold that
+        # leaves out the first row it is given leaves classes of primes
+        # below T in D, and the recount finds each of them.
+        reduce = functools.reduce
+        monkeypatch.setattr(cyclotomic, "functools", types.SimpleNamespace(
+            reduce=lambda f, rows, *init: reduce(f, list(rows)[1:], *init)))
+        inst, pi_D = next(cyclotomic.measure_family([n], alpha))
+        assert pi_D > 0
+        assert pi_D == cyclotomic.pi_D_cyclotomic(inst, inst.T)
+
     def test_traced_peak_holds_the_flags_once(self):
         # The pass holds the 33 whole segments of flags below T(2^24) once
-        # (2^17 bytes each), the accumulator and D (2^24 / 8 bytes each),
-        # and one sieve segment's workspace.
+        # (2^17 bytes each), D (2^24 / 8 bytes) and one sieve segment's
+        # workspace; the bound leaves room for a second n / 8 bytes.
         ns = [1 << r for r in range(8, 25)]
         tracemalloc.start()
         try:
@@ -129,6 +145,22 @@ class TestMeasureFamily:
             tracemalloc.stop()
         assert counts == [0] * len(ns)
         assert peak <= 33 * (1 << 17) + 2 * (1 << 21) + 3 * (1 << 20)
+
+    def test_traced_peak_holds_no_accumulator(self):
+        # The rows below T(2^24), 2^17 bytes per segment, D's n / 8 bytes
+        # and 1.5 MiB for one segment's workspace and the fold's
+        # temporaries: D takes the place of the rows it is folded from.
+        n = 1 << 24
+        segments = math.ceil(n * math.log(n) ** 0.5 / (2 * sieve.SEGMENT_ODDS))
+        tracemalloc.start()
+        try:
+            counts = list(map(operator.itemgetter(1),
+                              cyclotomic.measure_family([n], 0.5)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts == [0]
+        assert peak <= segments * (1 << 17) + n // 8 + 3 * (1 << 19)
 
 
 class TestPiD:
@@ -224,8 +256,8 @@ class TestFoldAgainstSievedPrimes:
                 assert cyclotomic.pi_D_cyclotomic(inst, x) == expected
 
     def test_members_past_one_row(self):
-        # From n = 2^21 a member folds two or more accumulator slots, and
-        # D is assembled from slices of 2^20 bits.
+        # From n = 2^21 a member folds two or more residues t mod n / 2^20,
+        # and D is kept as that many rows of 2^20 bits.
         ns = [1 << 21, 1 << 22]
         top = 2 * ns[-1] * math.log(ns[-1]) ** 0.5
         primes = sieve.sieve_range(0, math.ceil(top)).odd_primes()
@@ -242,6 +274,62 @@ class TestFoldAgainstSievedPrimes:
                 assert cyclotomic.pi_D_cyclotomic(inst, x) == expected
 
 
+@pytest.fixture(scope="module")
+def wide() -> cyclotomic.CyclotomicInstance:
+    """The member n = 2^21 at alpha = 0.5: D in two rows of 2^20 classes."""
+    return cyclotomic.build_D(1 << 21, 0.5)
+
+
+def in_D_by_trial(inst: cyclotomic.CyclotomicInstance, d: int) -> bool:
+    """d in D iff no number below T in the class of d is prime."""
+    return not any(map(oracles.trial_is_prime,
+                       range(d, math.ceil(inst.T), inst.q)))
+
+
+class TestMultiRowD:
+    """D of n = 2^21 is kept as two rows; every reader crosses the seam."""
+
+    def test_contains_across_the_row_boundary(self, wide):
+        seam = sieve.SEGMENT_ODDS          # class index 2^20 opens row 1
+        found = set()
+        for k in range(seam - 64, seam + 64):
+            d = 2 * k + 1
+            want = in_D_by_trial(wide, d)
+            assert wide.contains(d) == want, k
+            found.add((k >= seam, want))
+        assert found == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_D_equals_the_mask_of_sieved_primes(self, wide):
+        primes = sieve.sieve_range(0, math.ceil(wide.T)).odd_primes()
+        hit = np.zeros(wide.n, dtype=bool)
+        hit[primes % wide.q // 2] = True
+        np.testing.assert_array_equal(oracles.mask(wide), ~hit)
+        low, high = wide.rows
+        assert wide.D == low | high << sieve.SEGMENT_ODDS
+        assert max(low, high).bit_length() <= sieve.SEGMENT_ODDS
+        assert wide.D_size == wide.n - np.count_nonzero(hit)
+
+    def test_pi_D_by_trial_division(self, wide):
+        # Around x = 2q the flags pass from row 3 to row 4 and the classes
+        # wrap from D's row 1 to its row 0.
+        lo, hi = 2 * wide.q - 5000, 2 * wide.q + 5000
+        assert wide.T < lo
+        expected = sum(1 for p in range(lo | 1, hi, 2)
+                       if oracles.trial_is_prime(p)
+                       and in_D_by_trial(wide, p % wide.q))
+        assert expected > 0
+        assert (cyclotomic.pi_D_cyclotomic(wide, hi)
+                - cyclotomic.pi_D_cyclotomic(wide, lo)) == expected
+
+    def test_last_member_of_a_family_equals_a_family_of_one(self, wide):
+        family = list(cyclotomic.measure_family([1 << 19, 1 << 20, 1 << 21], 0.5))
+        inst, pi_D = family[-1]
+        assert inst.rows == wide.rows
+        assert inst == wide
+        assert pi_D == 0
+        assert family[1][0] == cyclotomic.build_D(1 << 20, 0.5)
+
+
 class TestInstanceRecord:
     def test_fields_are_read_only(self):
         inst = cyclotomic.build_D(16, 0.5)
@@ -252,7 +340,7 @@ class TestInstanceRecord:
     def test_equality_is_by_value_including_D(self):
         inst = cyclotomic.build_D(16, 0.5)
         assert inst == cyclotomic.build_D(16, 0.5)
-        assert inst != inst._replace(D=inst.D ^ 1)
+        assert inst != inst._replace(rows=(inst.rows[0] ^ 1,))
 
 
 class TestDensityRatio:
