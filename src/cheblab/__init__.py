@@ -48,7 +48,7 @@ from .sieve import (
     sieve_range,
 )
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 __all__ = [
     "BOUNDED",

@@ -253,6 +253,15 @@ def _prime_factors(q: int) -> list[int]:
     return factors + [q] if q > 1 else factors
 
 
+def _multiples(step: int) -> int:
+    """Bits 0, step, 2 * step, ... below SEGMENT_ODDS: one row's worth."""
+    bits, width = 1, step
+    while width < sieve.SEGMENT_ODDS:   # copy the bits below width up by width
+        bits |= (bits & ((1 << (sieve.SEGMENT_ODDS - width)) - 1)) << width
+        width *= 2
+    return bits
+
+
 def cmd_sieve_check(args: argparse.Namespace) -> int:
     rows = []
 
@@ -260,35 +269,42 @@ def cmd_sieve_check(args: argparse.Namespace) -> int:
         rows.append({"check": check, "status": "PASS" if ok else "FAIL",
                      "detail": detail})
 
-    # pieces narrower than a segment are never cached, so all are sieved
+    # 2^21 odd integers make one piece of the whole range; narrower pieces
+    # are never cached, so all are sieved.  Piece bits start at lo // 2.
     cap = min(args.limit, 1 << 22)
-    whole = sieve.sieve_range(0, cap).odd_primes().tolist()
-    ok = all(whole == [p for lo in range(0, cap, 2 * odds)
-                       for p in sieve.sieve_range(lo, min(lo + 2 * odds, cap))
-                       .odd_primes().tolist()] for odds in (4096, 8191))
-    record("segment-independence", ok,
+    joined = {sum(int.from_bytes(sieve.sieve_range(lo, min(lo + 2 * odds, cap))
+                                 .flags, "little") << lo // 2
+                  for lo in range(0, cap, 2 * odds))
+              for odds in (1 << 21, 4096, 8191)}
+    record("segment-independence", len(joined) == 1,
            f"limit={cap} segmentations=2097152;4096;8191")
 
-    # one walk of the aligned segments serves every count below
-    import numpy as np
-
-    q, limit = args.q, args.limit
+    # one walk of odd_rows: the primes below x are 2 and the rows' bits
+    # below x // 2, but at the walk's end the rows as odd_rows cut them
+    q, limit, row_bits = args.q, args.limit, sieve.SEGMENT_ODDS
     trial_cap = min(limit, 10 ** 6)
     xs = sorted({2, 10, 100, 1000, limit // 2, limit})
-    below = dict.fromkeys({trial_cap, *xs}, 0)     # primes below each point
-    coprime = 0
-    for chunk in sieve.prime_chunks(0, xs[-1]):
-        for x in below:
-            below[x] += int(chunk.searchsorted(x))
-        head = chunk[:chunk.searchsorted(limit)]
-        coprime += int(np.count_nonzero(np.gcd(head, q) == 1))
+    below = {x: int(x > 2) for x in {trial_cap, *xs}}
+    factors = _prime_factors(q)
+    odd = [(p, _multiples(p)) for p in factors if p > 2]
+    shared = 0                  # the odd primes below limit that divide q
+    for k, row in enumerate(sieve.odd_rows(xs[-1])):
+        start = k * row_bits    # the index of the row's bit 0
+        cut = {x: row if x == xs[-1] or x // 2 - start >= row_bits
+               else row & ((1 << max(x // 2 - start, 0)) - 1) for x in below}
+        below = {x: n + cut[x].bit_count() for x, n in below.items()}
+        # the odd multiples of p lie p apart from p // 2: at most one in a
+        # row if p is wider than the row, and no shift by 2^20 or more
+        shared += sum(((cut[limit] >> at) & bits).bit_count() for p, bits in odd
+                      if (at := (p // 2 - start) % p) < row_bits)
 
     want = _trial_prime_count(trial_cap)
     record("trial-division-equivalence", below[trial_cap] == want,
            f"x={trial_cap} sieve={below[trial_cap]} trial={want}")
 
-    divisors = sum(1 for p in _prime_factors(q) if p < limit)
+    divisors = sum(1 for p in factors if p < limit)
     total = below[limit]
+    coprime = total - shared - (1 - q % 2)  # and 2 < limit if q is even
     record("ap-partition", coprime + divisors == total,
            f"x={limit} q={q} coprime={coprime} "
            f"divisors={divisors} total={total}")
@@ -298,9 +314,8 @@ def cmd_sieve_check(args: argparse.Namespace) -> int:
     record("monotonicity", ok, "counts=" + ";".join(map(str, counts)))
 
     code = _emit(args, rows)
-    if code != EXIT_OK:
-        return code
-    return EXIT_OK if all(r["status"] == "PASS" for r in rows) else EXIT_FAILURE
+    return code or (EXIT_OK if all(r["status"] == "PASS" for r in rows)
+                    else EXIT_FAILURE)
 
 
 _COMMANDS = {
@@ -423,8 +438,7 @@ def _resource_problem(args: argparse.Namespace) -> Optional[str]:
     """
     if args.command == "sieve-check":
         # one walk of the segments below limit, rounded up to whole
-        # segments; q is charged for factoring it, and the guard keeps q
-        # within int64 for np.gcd
+        # segments; q is charged for factoring it by trial division
         q, step = args.q, 2 * sieve.SEGMENT_ODDS
         charge = q + -(-args.limit // step) * step
         if charge > SIEVE_GUARD:

@@ -12,11 +12,11 @@ file is recomputed rather than read.  The module holds no state between
 calls but the base primes of the last range.
 
 odd_rows is the one reader of the flags as bits: one int of SEGMENT_ODDS
-bits per segment, on which prime_count and the cyclotomic family are
-popcounts.  PrimeRange.odd_primes and prime_chunks read the primes as
-arrays, with numpy; nothing else here imports it.  The kernel is pure
-Python: it packs the bytes to bits by OR-ing eight strided slices as
-ints, so sieving a range, a cache hit and odd_rows are bytes and ints.
+bits per segment, on which prime_count, sieve-check and the cyclotomic
+family are popcounts.  prime_chunks lists the primes of a range.  All of
+it is pure Python: the kernel packs the bytes to bits by OR-ing eight
+strided slices as ints, and prime_chunks unpacks them with eight
+bytes.translate tables, so nothing here imports numpy.
 """
 
 from __future__ import annotations
@@ -29,10 +29,7 @@ import math
 import os
 import threading
 import zlib
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Iterator, NamedTuple, Optional
 
 SEGMENT_ODDS = 1 << 20          # odd entries per segment: cache-resident inner loop
 _STEP = 2 * SEGMENT_ODDS        # integers per aligned segment
@@ -58,20 +55,6 @@ class PrimeRange(NamedTuple):
     lo: int
     hi: int
     flags: bytes
-
-    @property
-    def odd_count(self) -> int:
-        return _odds_in(self.lo, self.hi)
-
-    def odd_primes(self) -> np.ndarray:
-        """The odd primes in [lo, hi) as an int64 array, increasing."""
-        import numpy as np
-
-        packed = np.frombuffer(self.flags, dtype=np.uint8)
-        bits = np.unpackbits(packed, count=self.odd_count, bitorder="little")
-        # the bits are 0 or 1, and flatnonzero scans bool several times faster
-        index = np.flatnonzero(bits.view(bool)).astype(np.int64, copy=False)
-        return (self.lo | 1) + 2 * index
 
 
 @functools.lru_cache(maxsize=1)
@@ -299,15 +282,18 @@ def prime_count(x: float) -> int:
     return 1 + sum(map(int.bit_count, rows)) if x > 2 else 0
 
 
-def prime_chunks(lo: int, hi: int) -> Iterator[np.ndarray]:
-    """Yield the primes in [lo, hi) as increasing int64 arrays."""
-    import numpy as np
-
+def prime_chunks(lo: int, hi: int) -> Iterator[list[int]]:
+    """Yield the primes in [lo, hi) as increasing lists."""
+    # table k maps a flag byte to its bit k: the inverse of _packed's slices
+    tables = [bytes(b >> k & 1 for b in range(256)) for k in range(8)]
     segments = _aligned_segments(lo, hi)
     if lo <= 2 < hi:
-        yield np.array([2], dtype=np.int64)
+        yield [2]
     for seg in segments:
-        odds = seg.odd_primes()
-        odds = odds[odds.searchsorted(lo):odds.searchsorted(hi)]
-        if odds.size:
+        row = bytearray(8 * len(seg.flags))
+        for k, table in enumerate(tables):
+            row[k::8] = seg.flags.translate(table)
+        odds = list(itertools.compress(range(seg.lo | 1, seg.hi, 2), row))
+        odds = odds[bisect.bisect_left(odds, lo):bisect.bisect_left(odds, hi)]
+        if odds:
             yield odds

@@ -9,8 +9,8 @@ The one exception is ``sieve_split_primes``: the package's sieve and the
 split predicate ``is_totally_split``, tested prime by prime.  It shares no
 code with the form enumeration in ``pi_D_dihedral`` and is fast enough to
 check the wall pi_D(n^2) = 0 up to n = 2^12.  ``range_is_prime``,
-``li_ratio_to_asymptote``, ``mask`` and ``residues`` likewise read values
-the package computed.
+``li_ratio_to_asymptote``, ``odd_primes``, ``mask`` and ``residues``
+likewise read values the package computed.
 """
 
 from __future__ import annotations
@@ -77,6 +77,15 @@ def range_is_prime(rng: sieve.PrimeRange, m: int) -> bool:
         return False
     idx = m // 2 - rng.lo // 2
     return bool(rng.flags[idx >> 3] & (1 << (idx & 7)))
+
+
+def odd_primes(rng: sieve.PrimeRange) -> np.ndarray:
+    """The odd primes in [lo, hi) as an increasing int64 array, unpacked
+    from rng's flags by numpy rather than by the package's bit code."""
+    packed = np.frombuffer(rng.flags, dtype=np.uint8)
+    bits = np.unpackbits(packed, count=rng.hi // 2 - rng.lo // 2,
+                         bitorder="little")
+    return (rng.lo | 1) + 2 * np.flatnonzero(bits).astype(np.int64)
 
 
 def mask(inst: cyclotomic.CyclotomicInstance) -> np.ndarray:
@@ -154,7 +163,7 @@ def is_totally_split(p: int, n: int) -> bool:
 def iter_sieve_split_primes(n: int, x: float) -> Iterator[int]:
     """Odd primes p < x of the form a^2 + n^2 b^2, one sieved prime at a time."""
     return (p for chunk in sieve.prime_chunks(3, math.ceil(x))
-            for p in chunk.tolist() if is_totally_split(p, n))
+            for p in chunk if is_totally_split(p, n))
 
 
 def sieve_split_primes(n: int, x: float) -> list[int]:

@@ -425,7 +425,9 @@ class TestSerreCommand:
 
 
 # sieve-check stdout frozen from cheblab 0.8.0, which sieved once per
-# count; the points 100 and 1000 may lie past --limit
+# count; the points 100 and 1000 may lie past --limit.  The last three,
+# with a prime factor of q beyond a row of 2^20 odd integers, are frozen
+# from 0.13.0, which counted the coprime primes with numpy's gcd.
 SIEVE_CHECK_STDOUT = {
     (): """\
 check,status,detail
@@ -489,6 +491,27 @@ trial-division-equivalence,PASS,x=10 sieve=4 trial=4
 ap-partition,PASS,x=10 q=30030 coprime=0 divisors=4 total=4
 monotonicity,PASS,counts=0;2;4;25;168
 """,
+    ("--limit", "5000000", "--q", "15728745"): """\
+check,status,detail
+segment-independence,PASS,limit=4194304 segmentations=2097152;4096;8191
+trial-division-equivalence,PASS,x=1000000 sieve=78498 trial=78498
+ap-partition,PASS,x=5000000 q=15728745 coprime=348510 divisors=3 total=348513
+monotonicity,PASS,counts=0;4;25;168;183072;348513
+""",
+    ("--limit", "5000000", "--q", "14680183"): """\
+check,status,detail
+segment-independence,PASS,limit=4194304 segmentations=2097152;4096;8191
+trial-division-equivalence,PASS,x=1000000 sieve=78498 trial=78498
+ap-partition,PASS,x=5000000 q=14680183 coprime=348511 divisors=2 total=348513
+monotonicity,PASS,counts=0;4;25;168;183072;348513
+""",
+    ("--limit", "10", "--q", "1099509530599"): """\
+check,status,detail
+segment-independence,PASS,limit=10 segmentations=2097152;4096;8191
+trial-division-equivalence,PASS,x=10 sieve=4 trial=4
+ap-partition,PASS,x=10 q=1099509530599 coprime=4 divisors=0 total=4
+monotonicity,PASS,counts=0;2;4;25;168
+""",
 }
 
 
@@ -528,6 +551,42 @@ class TestSieveCheckCommand:
         aligned = [(lo, hi) for lo, hi in calls
                    if lo % step == 0 and hi - lo == step]
         assert aligned == [(0, step), (step, 2 * step), (2 * step, 3 * step)]
+
+    def test_late_cut_in_odd_rows_shows(self, capsys, monkeypatch):
+        # odd_rows cutting one bit late reads 100003, a prime, below
+        # 100002: the count at the walk's end is odd_rows' own popcount
+        rows = sieve._rows
+        monkeypatch.setattr(sieve, "_rows",
+                            lambda segments, odds: rows(segments, odds + 1))
+        rc, out, _ = run(capsys, "sieve-check", "--limit", "100002",
+                         "--q", "7")
+        assert rc == EXIT_FAILURE
+        assert ("trial-division-equivalence,FAIL,x=100002 sieve=9593 "
+                "trial=9592") in out.splitlines()
+
+    @pytest.mark.parametrize("composite, q, limit", [
+        (9, 3, 20000), (3 * 1048583, 1048583, 5000000)],
+        ids=["small-factor", "factor-beyond-a-row"])
+    def test_composite_multiple_fails_ap_partition(self, capsys, monkeypatch,
+                                                   composite, q, limit):
+        # a sieve that marks one odd multiple of q's factor prime: the
+        # popcount over the factor's multiples must count it
+        strike = sieve._odd_bytes
+
+        def faulty(lo, hi):
+            row = strike(lo, hi)
+            if lo <= composite < hi:
+                i = (composite - (lo | 1)) // 2
+                row[i] = 1 << i % 8
+            return row
+
+        monkeypatch.setattr(sieve, "_odd_bytes", faulty)
+        rc, out, _ = run(capsys, "sieve-check", "--limit", str(limit),
+                         "--q", str(q))
+        assert rc == EXIT_FAILURE
+        _, rows, _ = parse_csv(out)
+        status = {r["check"]: r["status"] for r in rows}
+        assert status["ap-partition"] == "FAIL"
 
     def test_pieces_are_sieved_under_a_cache(self, capsys, monkeypatch,
                                              tmp_path):
@@ -621,7 +680,7 @@ COLD_CYCLOTOMIC = {
 
 
 class TestWithoutNumpy:
-    """Only the array readers and sieve-check may import numpy."""
+    """No command and no reader of the sieve imports numpy."""
 
     @staticmethod
     def python(*args, cache_dir=None) -> subprocess.CompletedProcess:
@@ -664,6 +723,22 @@ class TestWithoutNumpy:
         assert bare.returncode == 0, bare.stderr
         assert bare.stdout == normal.stdout
 
+    @pytest.mark.parametrize("argv", [(), ("--limit", "5000000", "--q", "30")],
+                             ids=["defaults", "limit-5000000"])
+    def test_sieve_check(self, argv):
+        proc = self.python("-c", BLOCK_NUMPY + "from cheblab.cli import main; "
+                           "sys.exit(main(sys.argv[1:]))", "sieve-check", *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == SIEVE_CHECK_STDOUT[argv]
+
+    def test_prime_chunks(self):
+        code = ("from cheblab import sieve; "
+                "chunks = list(sieve.prime_chunks(0, 10 ** 6)); "
+                "print(sum(map(len, chunks)), chunks[-1][-1])")
+        proc = self.python("-c", BLOCK_NUMPY + code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["78498", "999983"]
+
     def test_counts_over_a_warm_cache(self, tmp_path):
         # odd_rows reads cached flags as ints: neither count needs numpy
         code = ("from cheblab import cyclotomic, sieve; "
@@ -679,12 +754,12 @@ class TestWithoutNumpy:
 
 
 class TestStartUpModules:
-    """Start-up, the commands that sieve nothing and the cold cyclotomic
-    commands of the paper load no module that only some runs need:
-    records are NamedTuples, so no dataclasses (and its inspect),
-    peak_bytes is integer arithmetic, so no fractions (and its decimal),
-    json is imported under --format json alone, and the sieve strikes and
-    packs without numpy."""
+    """Start-up, the commands that sieve nothing, the cold cyclotomic
+    commands of the paper and sieve-check load no module that only some
+    runs need: records are NamedTuples, so no dataclasses (and its
+    inspect), peak_bytes is integer arithmetic, so no fractions (and its
+    decimal), json is imported under --format json alone, and the sieve
+    strikes, packs and counts without numpy."""
 
     HEAVY = ("dataclasses", "inspect", "fractions", "decimal", "json",
              "numpy")
@@ -703,8 +778,9 @@ class TestStartUpModules:
         (("falsify", "--family", "dihedral", "--r-min", "4", "--r-max",
           "12", "--format", "json"), "json"),
         *((argv, "") for argv in COLD_CYCLOTOMIC.values()),
+        (("sieve-check",), ""),
     ], ids=["import", "serre", "falsify-dihedral", "serre-json",
-            "falsify-dihedral-json", *COLD_CYCLOTOMIC])
+            "falsify-dihedral-json", *COLD_CYCLOTOMIC, "sieve-check"])
     def test_loaded_modules(self, argv, allowed):
         proc = TestWithoutNumpy.python("-c", self.CODE, *argv)
         assert proc.returncode == 0, proc.stderr

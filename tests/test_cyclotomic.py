@@ -242,7 +242,7 @@ class TestFoldAgainstSievedPrimes:
     def test_matches_residues_of_sieved_primes(self, alpha):
         ns = [1 << r for r in (2, 8, 12, 16, 17, 18, 19, 20)]
         top = 4 * ns[-1] * math.log(ns[-1]) ** alpha
-        primes = sieve.sieve_range(0, math.ceil(top)).odd_primes()
+        primes = oracles.odd_primes(sieve.sieve_range(0, math.ceil(top)))
         members = cyclotomic.measure_family(ns, alpha)
         for n, (inst, pi_D) in zip(ns, members, strict=True):
             hit = np.zeros(n, dtype=bool)
@@ -260,7 +260,7 @@ class TestFoldAgainstSievedPrimes:
         # and D is kept as that many rows of 2^20 bits.
         ns = [1 << 21, 1 << 22]
         top = 2 * ns[-1] * math.log(ns[-1]) ** 0.5
-        primes = sieve.sieve_range(0, math.ceil(top)).odd_primes()
+        primes = oracles.odd_primes(sieve.sieve_range(0, math.ceil(top)))
         members = cyclotomic.measure_family(ns, 0.5)
         for n, (inst, pi_D) in zip(ns, members, strict=True):
             hit = np.zeros(n, dtype=bool)
@@ -300,7 +300,7 @@ class TestMultiRowD:
         assert found == {(False, False), (False, True), (True, False), (True, True)}
 
     def test_D_equals_the_mask_of_sieved_primes(self, wide):
-        primes = sieve.sieve_range(0, math.ceil(wide.T)).odd_primes()
+        primes = oracles.odd_primes(sieve.sieve_range(0, math.ceil(wide.T)))
         hit = np.zeros(wide.n, dtype=bool)
         hit[primes % wide.q // 2] = True
         np.testing.assert_array_equal(oracles.mask(wide), ~hit)

@@ -31,27 +31,26 @@ def sieved_in_pieces(lo: int, hi: int, piece_odds: int) -> bytes:
     for start in range(lo, hi, 2 * piece_odds):
         piece = sieve.sieve_range(start, min(start + 2 * piece_odds, hi))
         joined |= int.from_bytes(piece.flags, "little") << shift
-        shift += piece.odd_count
+        shift += piece.hi // 2 - piece.lo // 2
     return joined.to_bytes((shift + 7) // 8, "little")
 
 
 class TestSieveRange:
     def test_first_decade(self):
         rng = sieve.sieve_range(0, 10)
-        assert rng.odd_primes().tolist() == [3, 5, 7]
+        assert oracles.odd_primes(rng).tolist() == [3, 5, 7]
         assert oracles.range_is_prime(rng, 2) is True  # query layer adds 2
         assert oracles.range_is_prime(rng, 1) is False
         assert oracles.range_is_prime(rng, 9) is False
 
     def test_empty_interval(self):
         rng = sieve.sieve_range(10, 10)
-        assert rng.odd_count == 0
         assert rng.flags == b""
-        assert rng.odd_primes().size == 0
+        assert oracles.odd_primes(rng).size == 0
 
     def test_inner_window(self):
         rng = sieve.sieve_range(100, 120)
-        assert rng.odd_primes().tolist() == [101, 103, 107, 109, 113]
+        assert oracles.odd_primes(rng).tolist() == [101, 103, 107, 109, 113]
 
     @pytest.mark.parametrize("lo,hi", [(0, 200), (97, 113), (1, 2), (2, 3),
                                        (3, 4), (1000, 1100), (9973, 9974)])
@@ -311,7 +310,7 @@ class TestIteratePrimes:
     """Iterating the primes of [lo, hi) through prime_chunks."""
 
     def collect(self, lo, hi):
-        return [p for chunk in sieve.prime_chunks(lo, hi) for p in chunk.tolist()]
+        return [p for chunk in sieve.prime_chunks(lo, hi) for p in chunk]
 
     def test_examples(self):
         assert self.collect(0, 6) == [2, 3, 5]
@@ -326,10 +325,10 @@ class TestIteratePrimes:
     def test_chunked_iteration_is_seamless(self):
         # the chunks are aligned segments; this range crosses two boundaries
         lo, hi = STEP - 10 ** 4, 2 * STEP + 10 ** 4
-        got = sieve.sieve_range(lo, hi).odd_primes().tolist()
+        got = oracles.odd_primes(sieve.sieve_range(lo, hi)).tolist()
         chunked: list[int] = []
         for chunk in sieve.prime_chunks(lo, hi):
-            chunked.extend(chunk.tolist())
+            chunked.extend(chunk)
         assert got == chunked
 
     def test_sieves_the_segments_that_meet_the_range(self, monkeypatch):
@@ -370,7 +369,7 @@ class TestIteratePrimes:
     def test_chunks_equal_one_sieved_range(self, ends):
         lo, hi = sorted(ends)
         want = ([2] if lo <= 2 < hi else []) \
-            + sieve.sieve_range(lo, hi).odd_primes().tolist()
+            + oracles.odd_primes(sieve.sieve_range(lo, hi)).tolist()
         assert self.collect(lo, hi) == want
 
     def test_validation(self):
@@ -382,8 +381,8 @@ class TestIteratePrimes:
 
 def streamed_odd_primes(x: float) -> np.ndarray:
     """The odd primes below x, streamed by prime_chunks."""
-    chunks = list(sieve.prime_chunks(3, max(3, math.ceil(x))))
-    return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+    chunks = sieve.prime_chunks(3, max(3, math.ceil(x)))
+    return np.array([p for chunk in chunks for p in chunk], dtype=np.int64)
 
 
 def joined(rows) -> int:
@@ -568,7 +567,7 @@ class TestDiskCache:
         blocker = tmp_path / "not-a-dir"
         blocker.write_text("occupied")
         monkeypatch.setenv(sieve.CACHE_ENV, str(blocker / "sub"))
-        odds = sieve.sieve_range(0, STEP).odd_primes()
+        odds = oracles.odd_primes(sieve.sieve_range(0, STEP))
         assert odds[odds < 100].tolist() == oracles.trial_primes_below(100)[1:]
 
     def test_no_env_no_files(self, tmp_path, monkeypatch):
