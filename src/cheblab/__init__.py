@@ -41,14 +41,13 @@ from .dihedral import (
     pi_D_dihedral,
 )
 from .sieve import (
-    PrimeRange,
     odd_rows,
     prime_chunks,
     prime_count,
     sieve_range,
 )
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"
 
 __all__ = [
     "BOUNDED",
@@ -58,7 +57,6 @@ __all__ = [
     "CyclotomicInstance",
     "ExactBoundExceeded",
     "IncompatibleVariantError",
-    "PrimeRange",
     "ScanReport",
     "ScanRow",
     "SearchLimitExceeded",

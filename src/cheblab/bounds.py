@@ -151,16 +151,20 @@ def check_scope(variant: str, family: str, D_size: int = 1) -> None:
 
 def bound_denominator(f: BoundFamily, s: ChebotarevSample) -> float:
     """Template value at the sample; natural log of M throughout."""
-    check_scope(f.variant, s.family, s.D_size)
-    x_part = s.x ** (0.5 + f.epsilon)
-    if f.variant == "FG":
-        return x_part * (2 * s.n) ** -0.5
+    check_scope(f.variant, s.family, s.D_size)     # FG: D_size is 1
     if s.D_size == 0 and f.a < 0:
         raise ValueError("D_size = 0 with a < 0 makes the template singular")
-    base = x_part * s.D_size ** f.a * math.log(s.M)
-    if f.variant == "C":
-        return base * s.n ** (f.b + f.epsilon)
-    return base * s.alpha_G ** f.b * s.n ** f.epsilon
+    try:
+        x_part = s.x ** (0.5 + f.epsilon)
+        if f.variant == "FG":
+            return x_part * (2 * s.n) ** -0.5
+        base = x_part * s.D_size ** f.a * math.log(s.M)
+        if f.variant == "C":
+            return base * s.n ** (f.b + f.epsilon)
+        return base * s.alpha_G ** f.b * s.n ** f.epsilon
+    except OverflowError:       # a finite exponent too large for a float
+        raise ValueError(
+            f"bound denominator overflows a float at n={s.n}") from None
 
 
 def implied_constant(f: BoundFamily, s: ChebotarevSample) -> float:
@@ -175,7 +179,10 @@ def range_check(s: ChebotarevSample, range_alpha: float) -> bool:
     """Whether x clears the range restriction x > n * log(n)^range_alpha."""
     if range_alpha < 0:
         raise ValueError("range_alpha must be nonnegative")
-    return s.x > s.n * math.log(s.n) ** range_alpha
+    try:
+        return s.x > s.n * math.log(s.n) ** range_alpha
+    except OverflowError:       # the range starts past every float
+        return False
 
 
 def _line_fit(xs: Sequence[float], ys: Sequence[float]) -> Tuple[float, float]:

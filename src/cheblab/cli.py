@@ -272,8 +272,7 @@ def cmd_sieve_check(args: argparse.Namespace) -> int:
     # 2^21 odd integers make one piece of the whole range; narrower pieces
     # are never cached, so all are sieved.  Piece bits start at lo // 2.
     cap = min(args.limit, 1 << 22)
-    joined = {sum(int.from_bytes(sieve.sieve_range(lo, min(lo + 2 * odds, cap))
-                                 .flags, "little") << lo // 2
+    joined = {sum(sieve.sieve_range(lo, min(lo + 2 * odds, cap)) << lo // 2
                   for lo in range(0, cap, 2 * odds))
               for odds in (1 << 21, 4096, 8191)}
     record("segment-independence", len(joined) == 1,
@@ -434,7 +433,10 @@ def _resource_problem(args: argparse.Namespace) -> Optional[str]:
 
     sieve-check is bounded by the integers it walks, the cyclotomic
     commands by the bytes they hold at r_max; the dihedral commands sieve
-    nothing and are bounded by the exact primality test instead.
+    nothing and are bounded by the exact primality test instead.  A wide
+    r is refused from r alone, before any 2^r is built: the cyclotomic
+    commands hold more than n bytes, and the dihedral ones test values
+    up to n^2 at least.
     """
     if args.command == "sieve-check":
         # one walk of the segments below limit, rounded up to whole
@@ -446,11 +448,18 @@ def _resource_problem(args: argparse.Namespace) -> Optional[str]:
                     f"{charge} integers (q + limit, limit rounded up to "
                     f"whole segments of {step}), beyond the 2^40 resource "
                     f"guard")
-    if getattr(args, "family", args.command) == "cyclotomic":
-        held = cyclotomic.peak_bytes(1 << args.r_max, args.alpha)
-        if held > MEMORY_BUDGET:
-            return (f"r = {args.r_max} would hold about {held} bytes, beyond "
-                    f"the memory budget of 2^31 = {MEMORY_BUDGET} bytes")
+    family, r = getattr(args, "family", args.command), getattr(args, "r_max", 0)
+    if family == "cyclotomic":
+        wide = r >= MEMORY_BUDGET.bit_length()
+        held = 0 if wide else cyclotomic.peak_bytes(1 << r, args.alpha)
+        if wide or held > MEMORY_BUDGET:
+            amount = f"more than 2^{r}" if wide else f"about {held}"
+            return (f"r = {r} would hold {amount} bytes, beyond the memory "
+                    f"budget of 2^31 = {MEMORY_BUDGET} bytes")
+    bound = dihedral.MILLER_RABIN_BOUND
+    if family in ("dihedral", "serre") and 2 * r >= bound.bit_length():
+        return (f"r = {r} would need primality tests up to n^2 = 2^{2 * r}, "
+                f"above {bound}, the bound of the deterministic test")
     return None
 
 

@@ -11,12 +11,12 @@ asked.  Cache files end in a CRC-32 of header and payload, so a damaged
 file is recomputed rather than read.  The module holds no state between
 calls but the base primes of the last range.
 
-odd_rows is the one reader of the flags as bits: one int of SEGMENT_ODDS
-bits per segment, on which prime_count, sieve-check and the cyclotomic
-family are popcounts.  prime_chunks lists the primes of a range.  All of
-it is pure Python: the kernel packs the bytes to bits by OR-ing eight
-strided slices as ints, and prime_chunks unpacks them with eight
-bytes.translate tables, so nothing here imports numpy.
+The flags have one form in memory, an int whose bit i is set iff
+(lo | 1) + 2i is prime: sieve_range returns it, odd_rows yields it one
+segment (a row of SEGMENT_ODDS bits) at a time, and prime_count,
+sieve-check and the cyclotomic family are popcounts of it.  Flag bytes
+exist only in cache files and inside prime_chunks, which lists the
+primes of a range.  All of it is pure Python: nothing imports numpy.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import math
 import os
 import threading
 import zlib
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, Optional
 
 SEGMENT_ODDS = 1 << 20          # odd entries per segment: cache-resident inner loop
 _STEP = 2 * SEGMENT_ODDS        # integers per aligned segment
@@ -42,19 +42,6 @@ _CACHE_MAGIC = b"CHEB2"
 def _odds_in(lo: int, hi: int) -> int:
     """Number of odd integers in [lo, hi)."""
     return hi // 2 - lo // 2
-
-
-class PrimeRange(NamedTuple):
-    """Packed primality flags for the odd integers in [lo, hi).
-
-    Bit k (LSB-first within each byte) corresponds to the k-th odd integer
-    at or above lo and is set iff that integer is prime.  Queries about 2
-    are answered out of band.
-    """
-
-    lo: int
-    hi: int
-    flags: bytes
 
 
 @functools.lru_cache(maxsize=1)
@@ -136,16 +123,14 @@ def _packed(row: bytearray) -> bytes:
     """Eight bytes of the row to one flag byte, LSB first: the row's
     bytes k, k + 8, ... hold only bit k, so their eight slices OR.  A
     piece at a time, so that the slices and ints are small beside the row."""
-    size = len(row)
-    flags = bytearray((size + 7) // 8)
-    for at in range(0, size, _PACK_PIECE):
-        end = min(at + _PACK_PIECE, size)
+    pieces = []
+    for at in range(0, len(row), _PACK_PIECE):
+        end = min(at + _PACK_PIECE, len(row))
         bits = 0
         for k in range(8):
             bits |= int.from_bytes(row[at + k:end:8], "little")
-        flags[at // 8:(end + 7) // 8] = bits.to_bytes((end - at + 7) // 8,
-                                                      "little")
-    return bytes(flags)
+        pieces.append(bits.to_bytes((end - at + 7) // 8, "little"))
+    return b"".join(pieces)
 
 
 def _cache_path(cache_dir: str, lo: int, hi: int) -> str:
@@ -156,31 +141,32 @@ def _cache_header(lo: int, hi: int) -> bytes:
     return _CACHE_MAGIC + lo.to_bytes(8, "little") + hi.to_bytes(8, "little")
 
 
-def _cache_load(lo: int, hi: int) -> Optional[bytes]:
+def _cache_load(lo: int, hi: int) -> Optional[int]:
     cache_dir = os.environ.get(CACHE_ENV)
     if not cache_dir:
         return None
-    try:
+    header = _cache_header(lo, hi)
+    size = (_odds_in(lo, hi) + 7) // 8
+    try:        # the payload is read as its own bytes, so nothing copies it
         with open(_cache_path(cache_dir, lo, hi), "rb") as fh:
-            data = fh.read()
+            head, flags, tail = fh.read(len(header)), fh.read(size), fh.read()
     except OSError:
         return None
-    header = _cache_header(lo, hi)
-    expected_len = len(header) + (_odds_in(lo, hi) + 7) // 8 + 4
-    body, trailer = data[:-4], data[-4:]
-    if (len(data) != expected_len or not data.startswith(header)
-            or zlib.crc32(body) != int.from_bytes(trailer, "little")):
+    crc = zlib.crc32(flags, zlib.crc32(head))
+    if (head != header or len(flags) != size
+            or tail != crc.to_bytes(4, "little")):
         return None  # corrupt entries are recomputed silently
-    return body[len(header):]
+    return int.from_bytes(flags, "little")
 
 
-def _cache_store(lo: int, hi: int, flags: bytes) -> None:
+def _cache_store(lo: int, hi: int, flags: int) -> None:
     cache_dir = os.environ.get(CACHE_ENV)
     if not cache_dir:
         return
     path = _cache_path(cache_dir, lo, hi)
     tmp = f"{path}.tmp{os.getpid()}-{threading.get_ident()}"
     header = _cache_header(lo, hi)
+    flags = flags.to_bytes((_odds_in(lo, hi) + 7) // 8, "little")
     crc = zlib.crc32(flags, zlib.crc32(header))
     try:
         os.makedirs(cache_dir, exist_ok=True)
@@ -203,8 +189,10 @@ def _check_range(lo: int, hi: int) -> None:
         raise OverflowError(f"hi={hi} exceeds the 2**63 sieve limit")
 
 
-def sieve_range(lo: int, hi: int) -> PrimeRange:
-    """Sieve [lo, hi) in one mask and return packed odd-primality flags.
+def sieve_range(lo: int, hi: int) -> int:
+    """Sieve [lo, hi) in one mask and return its flags as an int: bit i is
+    set iff (lo | 1) + 2i is prime, so the uncut row k of odd_rows is
+    sieve_range(k * 2 * SEGMENT_ODDS, (k + 1) * 2 * SEGMENT_ODDS).
 
     When CHEB_CACHE_DIR is set and [lo, hi) is exactly one aligned
     segment, valid cached flags are reused and fresh ones stored; any
@@ -213,19 +201,20 @@ def sieve_range(lo: int, hi: int) -> PrimeRange:
     _check_range(lo, hi)
     if _odds_in(lo, hi) > SEGMENT_ODDS * MAX_SEGMENTS_PER_RANGE:
         raise OverflowError(
-            "range too wide to materialize in one PrimeRange; "
-            "stream it with prime_chunks"
+            "range too wide to sieve at once; "
+            "stream it with odd_rows or prime_chunks"
         )
 
     whole_segment = lo % _STEP == 0 and hi - lo == _STEP
     cached = _cache_load(lo, hi) if whole_segment else None
     if cached is not None:
-        return PrimeRange(lo, hi, cached)
+        return cached
 
-    flags = _packed(_odd_bytes(lo, hi))
+    # the row is freed before the int is built, which reads bytes in place
+    flags = int.from_bytes(_packed(_odd_bytes(lo, hi)), "little")
     if whole_segment:
         _cache_store(lo, hi, flags)
-    return PrimeRange(lo, hi, flags)
+    return flags
 
 
 def _check_count_limit(x: float) -> None:
@@ -235,7 +224,7 @@ def _check_count_limit(x: float) -> None:
         raise OverflowError(f"x={x} exceeds the 2**63 sieve limit")
 
 
-def _aligned_segments(lo: int, hi: int) -> Iterator[PrimeRange]:
+def _aligned_segments(lo: int, hi: int) -> Iterator[int]:
     """Sieve, in order, the whole aligned segments that hold an odd
     integer of [lo, hi).
 
@@ -246,10 +235,6 @@ def _aligned_segments(lo: int, hi: int) -> Iterator[PrimeRange]:
     _check_range(lo, hi)
     first = lo - lo % _STEP if lo | 1 < hi else hi
     return (sieve_range(k, k + _STEP) for k in range(first, hi - 1, _STEP))
-
-
-def _as_int(seg: PrimeRange) -> int:
-    return int.from_bytes(seg.flags, "little")
 
 
 def odd_rows(x: float) -> Iterator[int]:
@@ -265,10 +250,9 @@ def odd_rows(x: float) -> Iterator[int]:
     return _rows(_aligned_segments(0, 2 * odds), odds)
 
 
-def _rows(segments: Iterator[PrimeRange], odds: int) -> Iterator[int]:
+def _rows(segments: Iterator[int], odds: int) -> Iterator[int]:
     """The segments' flags as rows, cut to the first `odds` in all."""
-    # map reads each segment, so no loop variable holds its bytes at a yield
-    for row in map(_as_int, segments):
+    for row in segments:
         if odds < SEGMENT_ODDS:
             row &= (1 << odds) - 1
         odds -= SEGMENT_ODDS
@@ -289,11 +273,12 @@ def prime_chunks(lo: int, hi: int) -> Iterator[list[int]]:
     segments = _aligned_segments(lo, hi)
     if lo <= 2 < hi:
         yield [2]
-    for seg in segments:
-        row = bytearray(8 * len(seg.flags))
+    for at, seg in zip(itertools.count(lo - lo % _STEP, _STEP), segments):
+        flags = seg.to_bytes(SEGMENT_ODDS // 8, "little")
+        row = bytearray(SEGMENT_ODDS)
         for k, table in enumerate(tables):
-            row[k::8] = seg.flags.translate(table)
-        odds = list(itertools.compress(range(seg.lo | 1, seg.hi, 2), row))
+            row[k::8] = flags.translate(table)
+        odds = list(itertools.compress(range(at + 1, at + _STEP, 2), row))
         odds = odds[bisect.bisect_left(odds, lo):bisect.bisect_left(odds, hi)]
         if odds:
             yield odds

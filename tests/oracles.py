@@ -8,9 +8,9 @@ share no code with the package so that agreement is evidence.
 The one exception is ``sieve_split_primes``: the package's sieve and the
 split predicate ``is_totally_split``, tested prime by prime.  It shares no
 code with the form enumeration in ``pi_D_dihedral`` and is fast enough to
-check the wall pi_D(n^2) = 0 up to n = 2^12.  ``range_is_prime``,
-``li_ratio_to_asymptote``, ``odd_primes``, ``mask`` and ``residues``
-likewise read values the package computed.
+check the wall pi_D(n^2) = 0 up to n = 2^12.  ``flag_bytes``,
+``range_is_prime``, ``li_ratio_to_asymptote``, ``odd_primes``, ``mask``
+and ``residues`` likewise read values the package computed.
 """
 
 from __future__ import annotations
@@ -67,25 +67,32 @@ def trial_is_prime(m: int) -> bool:
     return True
 
 
-def range_is_prime(rng: sieve.PrimeRange, m: int) -> bool:
-    """Primality of m read from rng's packed flags; m must lie in [lo, hi)."""
-    if not rng.lo <= m < rng.hi:
-        raise ValueError(f"{m} outside [{rng.lo}, {rng.hi})")
+def flag_bytes(bits: int, lo: int, hi: int) -> bytes:
+    """The flags of [lo, hi) as sieve_range's int holds them, laid out as
+    a CHEB2 payload: one bit per odd integer, LSB first within each byte,
+    padded with 0 to whole bytes."""
+    return bits.to_bytes((hi // 2 - lo // 2 + 7) // 8, "little")
+
+
+def range_is_prime(bits: int, lo: int, hi: int, m: int) -> bool:
+    """Primality of m read from the flags of [lo, hi); m must lie there."""
+    if not lo <= m < hi:
+        raise ValueError(f"{m} outside [{lo}, {hi})")
     if m == 2:
         return True
     if m % 2 == 0:
         return False
-    idx = m // 2 - rng.lo // 2
-    return bool(rng.flags[idx >> 3] & (1 << (idx & 7)))
+    idx = m // 2 - lo // 2
+    return bool(flag_bytes(bits, lo, hi)[idx >> 3] & (1 << (idx & 7)))
 
 
-def odd_primes(rng: sieve.PrimeRange) -> np.ndarray:
+def odd_primes(bits: int, lo: int, hi: int) -> np.ndarray:
     """The odd primes in [lo, hi) as an increasing int64 array, unpacked
-    from rng's flags by numpy rather than by the package's bit code."""
-    packed = np.frombuffer(rng.flags, dtype=np.uint8)
-    bits = np.unpackbits(packed, count=rng.hi // 2 - rng.lo // 2,
-                         bitorder="little")
-    return (rng.lo | 1) + 2 * np.flatnonzero(bits).astype(np.int64)
+    from the flags of [lo, hi) by numpy rather than by the package's bit
+    code."""
+    packed = np.frombuffer(flag_bytes(bits, lo, hi), dtype=np.uint8)
+    flags = np.unpackbits(packed, count=hi // 2 - lo // 2, bitorder="little")
+    return (lo | 1) + 2 * np.flatnonzero(flags).astype(np.int64)
 
 
 def mask(inst: cyclotomic.CyclotomicInstance) -> np.ndarray:

@@ -160,6 +160,34 @@ class TestUsageErrors:
         assert (out, sieved) == ("", [])
         assert err == f"error: {option} must be finite, got {value}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ("falsify", "--family", "dihedral", "--r-min", "4", "--r-max", "8",
+         "--epsilon", "1000"),
+        ("falsify", "--family", "dihedral", "--r-min", "4", "--r-max", "8",
+         "--b=1e6"),
+        ("falsify", "--family", "cyclotomic", "--r-min", "8", "--r-max", "12",
+         "--a", "1000"),
+    ], ids=["epsilon", "b", "a"])
+    def test_finite_template_values_that_overflow(self, argv, capsys):
+        rc, out, err = run(capsys, *argv)
+        assert rc == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: bound denominator overflows a float")
+
+    def test_range_alpha_past_every_float(self, capsys):
+        # no float x clears x > n*log(n)^1000: a dihedral sample fails the
+        # range and every cyclotomic one is waived, as at --range-alpha 50
+        rc, out, err = run(capsys, "falsify", "--family", "dihedral",
+                           "--r-min", "4", "--r-max", "8",
+                           "--range-alpha", "1000")
+        assert (rc, out) == (EXIT_USAGE, "")
+        assert err == "error: sample n=16, x=256.0 fails x > n*log(n)^1000.0\n"
+        rc, out, _ = run(capsys, "falsify", "--family", "cyclotomic",
+                         "--r-min", "8", "--r-max", "12",
+                         "--range-alpha", "1000")
+        assert rc == EXIT_OK
+        assert parse_csv(out)[2]["range_waived_r"] == "8;9;10;11;12"
+
 
 class TestResourceGuard:
     # The dihedral commands sieve nothing.  They stop where their values
@@ -191,6 +219,31 @@ class TestResourceGuard:
             assert rc == EXIT_RESOURCE, argv
             assert out == ""
             assert f"2^31 = {MEMORY_BUDGET} bytes" in err
+
+    # an int in argv is an offset from r
+    @pytest.mark.parametrize("r", [15000, 10 ** 8])
+    @pytest.mark.parametrize("argv", [
+        ("cyclotomic", "--r-min", 0, "--r-max", 0),
+        ("falsify", "--family", "cyclotomic", "--r-min", "8", "--r-max", 0),
+        ("dihedral", "--r-min", 0, "--r-max", 0),
+        ("serre", "--r-min", 0, "--r-max", 1),
+        ("falsify", "--family", "dihedral", "--r-min", 0, "--r-max", 2),
+    ], ids=["cyclotomic", "falsify-cyclotomic", "dihedral", "serre",
+            "falsify-dihedral"])
+    def test_wide_r_is_refused_from_r(self, argv, r, capsys):
+        # no 2^r is built: at r = 10^8 it alone would take 12.5 MB
+        argv = [a if isinstance(a, str) else str(r + a) for a in argv]
+        tracemalloc.start()
+        try:
+            rc = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        out, err = capsys.readouterr()
+        assert rc == EXIT_RESOURCE
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert peak < 1 << 20
 
     def test_cyclotomic_budget_admits_r_29(self):
         assert cyclotomic.peak_bytes(1 << 29, 0.5) <= MEMORY_BUDGET

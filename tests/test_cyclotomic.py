@@ -242,7 +242,8 @@ class TestFoldAgainstSievedPrimes:
     def test_matches_residues_of_sieved_primes(self, alpha):
         ns = [1 << r for r in (2, 8, 12, 16, 17, 18, 19, 20)]
         top = 4 * ns[-1] * math.log(ns[-1]) ** alpha
-        primes = oracles.odd_primes(sieve.sieve_range(0, math.ceil(top)))
+        top = math.ceil(top)
+        primes = oracles.odd_primes(sieve.sieve_range(0, top), 0, top)
         members = cyclotomic.measure_family(ns, alpha)
         for n, (inst, pi_D) in zip(ns, members, strict=True):
             hit = np.zeros(n, dtype=bool)
@@ -260,7 +261,8 @@ class TestFoldAgainstSievedPrimes:
         # and D is kept as that many rows of 2^20 bits.
         ns = [1 << 21, 1 << 22]
         top = 2 * ns[-1] * math.log(ns[-1]) ** 0.5
-        primes = oracles.odd_primes(sieve.sieve_range(0, math.ceil(top)))
+        top = math.ceil(top)
+        primes = oracles.odd_primes(sieve.sieve_range(0, top), 0, top)
         members = cyclotomic.measure_family(ns, 0.5)
         for n, (inst, pi_D) in zip(ns, members, strict=True):
             hit = np.zeros(n, dtype=bool)
@@ -300,7 +302,8 @@ class TestMultiRowD:
         assert found == {(False, False), (False, True), (True, False), (True, True)}
 
     def test_D_equals_the_mask_of_sieved_primes(self, wide):
-        primes = oracles.odd_primes(sieve.sieve_range(0, math.ceil(wide.T)))
+        top = math.ceil(wide.T)
+        primes = oracles.odd_primes(sieve.sieve_range(0, top), 0, top)
         hit = np.zeros(wide.n, dtype=bool)
         hit[primes % wide.q // 2] = True
         np.testing.assert_array_equal(oracles.mask(wide), ~hit)

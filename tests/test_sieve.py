@@ -26,52 +26,57 @@ STEP = 2 * sieve.SEGMENT_ODDS     # integers per aligned segment
 
 
 def sieved_in_pieces(lo: int, hi: int, piece_odds: int) -> bytes:
-    """Flags of [lo, hi) sieved in pieces of piece_odds odd integers, joined."""
+    """Flags of [lo, hi) sieved in pieces of piece_odds odd integers,
+    joined, as the bytes of a CHEB2 payload."""
     joined = shift = 0
     for start in range(lo, hi, 2 * piece_odds):
-        piece = sieve.sieve_range(start, min(start + 2 * piece_odds, hi))
-        joined |= int.from_bytes(piece.flags, "little") << shift
-        shift += piece.hi // 2 - piece.lo // 2
-    return joined.to_bytes((shift + 7) // 8, "little")
+        end = min(start + 2 * piece_odds, hi)
+        joined |= sieve.sieve_range(start, end) << shift
+        shift += end // 2 - start // 2
+    return oracles.flag_bytes(joined, lo, hi)
 
 
 class TestSieveRange:
     def test_first_decade(self):
-        rng = sieve.sieve_range(0, 10)
-        assert oracles.odd_primes(rng).tolist() == [3, 5, 7]
-        assert oracles.range_is_prime(rng, 2) is True  # query layer adds 2
-        assert oracles.range_is_prime(rng, 1) is False
-        assert oracles.range_is_prime(rng, 9) is False
+        bits = sieve.sieve_range(0, 10)
+        assert oracles.odd_primes(bits, 0, 10).tolist() == [3, 5, 7]
+        # the query layer adds 2
+        assert oracles.range_is_prime(bits, 0, 10, 2) is True
+        assert oracles.range_is_prime(bits, 0, 10, 1) is False
+        assert oracles.range_is_prime(bits, 0, 10, 9) is False
 
     def test_empty_interval(self):
-        rng = sieve.sieve_range(10, 10)
-        assert rng.flags == b""
-        assert oracles.odd_primes(rng).size == 0
+        bits = sieve.sieve_range(10, 10)
+        assert oracles.flag_bytes(bits, 10, 10) == b""
+        assert oracles.odd_primes(bits, 10, 10).size == 0
 
     def test_inner_window(self):
-        rng = sieve.sieve_range(100, 120)
-        assert oracles.odd_primes(rng).tolist() == [101, 103, 107, 109, 113]
+        bits = sieve.sieve_range(100, 120)
+        assert oracles.odd_primes(bits, 100, 120).tolist() == [
+            101, 103, 107, 109, 113]
 
     @pytest.mark.parametrize("lo,hi", [(0, 200), (97, 113), (1, 2), (2, 3),
                                        (3, 4), (1000, 1100), (9973, 9974)])
     def test_matches_trial_division(self, lo, hi):
-        rng = sieve.sieve_range(lo, hi)
+        bits = sieve.sieve_range(lo, hi)
         for m in range(lo, hi):
-            assert oracles.range_is_prime(rng, m) == oracles.trial_is_prime(m), m
+            assert oracles.range_is_prime(bits, lo, hi, m) \
+                == oracles.trial_is_prime(m), m
 
     @given(st.integers(0, 5000), st.integers(0, 5000))
     @settings(max_examples=60, deadline=None)
     def test_matches_trial_division_random(self, a, b):
         lo, hi = min(a, b), max(a, b)
-        rng = sieve.sieve_range(lo, hi)
+        bits = sieve.sieve_range(lo, hi)
         for m in range(lo | 1, hi, 2):
-            assert oracles.range_is_prime(rng, m) == oracles.trial_is_prime(m), m
+            assert oracles.range_is_prime(bits, lo, hi, m) \
+                == oracles.trial_is_prime(m), m
 
     @pytest.mark.parametrize("piece_odds", [8, 97, 1000, 4096, 1 << 20])
     def test_segment_independence(self, piece_odds):
         whole = sieve.sieve_range(0, 100000)
         split = sieved_in_pieces(0, 100000, piece_odds)
-        assert split == whole.flags
+        assert split == oracles.flag_bytes(whole, 0, 100000)
 
     @given(st.integers(0, 3000), st.integers(0, 3000), st.integers(8, 512))
     @settings(max_examples=40, deadline=None)
@@ -79,7 +84,7 @@ class TestSieveRange:
         lo, hi = min(a, b), max(a, b)
         one = sieve.sieve_range(lo, hi)
         many = sieved_in_pieces(lo, hi, piece_odds)
-        assert many == one.flags
+        assert many == oracles.flag_bytes(one, lo, hi)
 
     def test_workspace_is_one_mask(self):
         # one byte per odd integer and the packed flags twice: about
@@ -92,11 +97,12 @@ class TestSieveRange:
             tracemalloc.stop()
         assert peak < 1.5 * (1 << 20)
 
-    def test_fields_are_read_only(self):
-        r = sieve.sieve_range(0, 100)
-        for name in ("lo", "hi", "flags", "extra"):
-            with pytest.raises(AttributeError):
-                setattr(r, name, 0)
+    def test_returns_the_row_int(self):
+        # bit i stands for (lo | 1) + 2i: 101, 103, 107, 109 and 113 are
+        # bits 0, 1, 3, 4 and 6 of [100, 120)
+        bits = sieve.sieve_range(100, 120)
+        assert type(bits) is int
+        assert bits == 0b1011011
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -111,19 +117,17 @@ class TestSieveRange:
                               * sieve.MAX_SEGMENTS_PER_RANGE + 4)
 
     def test_is_prime_out_of_range(self):
-        rng = sieve.sieve_range(10, 20)
+        bits = sieve.sieve_range(10, 20)
         with pytest.raises(ValueError):
-            oracles.range_is_prime(rng, 20)
+            oracles.range_is_prime(bits, 10, 20, 20)
         with pytest.raises(ValueError):
-            oracles.range_is_prime(rng, 9)
+            oracles.range_is_prime(bits, 10, 20, 9)
 
 
-def odd_flags(flags: bytes, odds: int) -> list[bool]:
-    """The first `odds` flags as bools; the flags fill whole bytes, and
-    their padding bits are 0."""
-    assert len(flags) == (odds + 7) // 8
-    assert int.from_bytes(flags, "little") >> odds == 0
-    return [bool(flags[i >> 3] >> (i & 7) & 1) for i in range(odds)]
+def odd_flags(bits: int, odds: int) -> list[bool]:
+    """The first `odds` flags as bools; no bit at or above odds is set."""
+    assert bits >> odds == 0
+    return [bool(bits >> i & 1) for i in range(odds)]
 
 
 def packbits(row: bytearray) -> bytes:
@@ -155,12 +159,13 @@ class TestKernel:
         (520, 540)])
     def test_small_primes_and_least_struck_squares(self, lo, hi):
         want = [oracles.trial_is_prime(m) for m in range(lo | 1, hi, 2)]
-        assert odd_flags(sieve.sieve_range(lo, hi).flags, len(want)) == want
+        assert odd_flags(sieve.sieve_range(lo, hi), len(want)) == want
 
     @pytest.mark.parametrize("k", sorted(FROZEN_CRC))
     def test_frozen_segments(self, k):
         lo, hi = k * STEP, (k + 1) * STEP
-        assert zlib.crc32(sieve.sieve_range(lo, hi).flags) \
+        bits = sieve.sieve_range(lo, hi)
+        assert zlib.crc32(oracles.flag_bytes(bits, lo, hi)) \
             == self.FROZEN_CRC[k]
 
     # windows whose first odd integer has an odd index (lo | 1) // 2 that
@@ -174,7 +179,7 @@ class TestKernel:
     def test_windows_up_to_2_40(self, lo, width):
         hi = lo + width
         want = [oracles.trial_is_prime(m) for m in range(lo | 1, hi, 2)]
-        assert odd_flags(sieve.sieve_range(lo, hi).flags, len(want)) == want
+        assert odd_flags(sieve.sieve_range(lo, hi), len(want)) == want
 
     @pytest.mark.parametrize("size", [
         0, 1, 7, 8, 9, 1000, sieve._PACK_PIECE - 1, sieve._PACK_PIECE,
@@ -325,7 +330,7 @@ class TestIteratePrimes:
     def test_chunked_iteration_is_seamless(self):
         # the chunks are aligned segments; this range crosses two boundaries
         lo, hi = STEP - 10 ** 4, 2 * STEP + 10 ** 4
-        got = oracles.odd_primes(sieve.sieve_range(lo, hi)).tolist()
+        got = oracles.odd_primes(sieve.sieve_range(lo, hi), lo, hi).tolist()
         chunked: list[int] = []
         for chunk in sieve.prime_chunks(lo, hi):
             chunked.extend(chunk)
@@ -369,7 +374,7 @@ class TestIteratePrimes:
     def test_chunks_equal_one_sieved_range(self, ends):
         lo, hi = sorted(ends)
         want = ([2] if lo <= 2 < hi else []) \
-            + oracles.odd_primes(sieve.sieve_range(lo, hi)).tolist()
+            + oracles.odd_primes(sieve.sieve_range(lo, hi), lo, hi).tolist()
         assert self.collect(lo, hi) == want
 
     def test_validation(self):
@@ -449,8 +454,7 @@ class TestPrimeTable:
         for x in xs:
             limit = math.ceil(x)
             rows = list(sieve.odd_rows(x))
-            want = sieve.sieve_range(0, limit).flags
-            assert joined(rows) == int.from_bytes(want, "little"), x
+            assert joined(rows) == sieve.sieve_range(0, limit), x
             # one row per aligned segment holding an odd integer below
             # ceil(x), each of at most 2^20 bits, the last cut below ceil(x)
             odds = limit // 2
@@ -459,6 +463,23 @@ class TestPrimeTable:
             if rows:
                 last = odds - (len(rows) - 1) * sieve.SEGMENT_ODDS
                 assert rows[-1].bit_length() <= last, x
+
+    def test_uncut_rows_are_sieve_range_segments(self, monkeypatch):
+        # row k is sieve_range of segment k, whose CRC 0.11.0 froze; the
+        # segments between are sieved as 0, so the walk to 563 is cheap
+        sieve_range, wanted = sieve.sieve_range, TestKernel.FROZEN_CRC
+
+        def sparse(lo, hi):
+            return sieve_range(lo, hi) if lo // STEP in wanted else 0
+
+        monkeypatch.setattr(sieve, "sieve_range", sparse)
+        rows = {k: row for k, row in enumerate(sieve.odd_rows(564 * STEP))
+                if k in (0, 1, 563)}
+        assert sorted(rows) == [0, 1, 563]
+        for k, row in rows.items():
+            lo, hi = k * STEP, (k + 1) * STEP
+            assert row == sieve_range(lo, hi), k
+            assert zlib.crc32(oracles.flag_bytes(row, lo, hi)) == wanted[k]
 
     def test_validation(self):
         # raised by the call itself, before any row is read
@@ -469,20 +490,20 @@ class TestPrimeTable:
 
 
 class TestDiskCache:
-    def _expected_bytes(self, lo, hi, flags):
+    def _expected_bytes(self, lo, hi, bits):
         body = (b"CHEB2" + lo.to_bytes(8, "little")
-                + hi.to_bytes(8, "little") + flags)
+                + hi.to_bytes(8, "little") + oracles.flag_bytes(bits, lo, hi))
         return body + zlib.crc32(body).to_bytes(4, "little")
 
     def test_cache_file_format(self, tmp_path, monkeypatch):
         monkeypatch.setenv(sieve.CACHE_ENV, str(tmp_path))
-        rng = sieve.sieve_range(0, STEP)
+        bits = sieve.sieve_range(0, STEP)
         files = list(tmp_path.iterdir())
         assert len(files) == 1
         data = files[0].read_bytes()
-        assert data == self._expected_bytes(0, STEP, rng.flags)
+        assert data == self._expected_bytes(0, STEP, bits)
         # payload is one bit per odd integer, LSB first, padded to bytes
-        assert len(rng.flags) == (STEP // 2 + 7) // 8
+        assert len(data) == 21 + (STEP // 2 + 7) // 8 + 4
 
     def test_first_format_is_a_miss(self, tmp_path, monkeypatch):
         monkeypatch.setenv(sieve.CACHE_ENV, str(tmp_path))
@@ -491,12 +512,12 @@ class TestDiskCache:
         # a CHEB1 file (no CRC) with every odd integer marked prime,
         # both under its own name and under the current one
         cheb1 = (b"CHEB1" + (0).to_bytes(8, "little")
-                 + STEP.to_bytes(8, "little") + b"\xff" * len(clean.flags))
+                 + STEP.to_bytes(8, "little") + b"\xff" * (STEP // 16))
         (tmp_path / f"sieve-0-{STEP}.cheb1").write_bytes(cheb1)
-        assert sieve.sieve_range(0, STEP).flags == clean.flags
+        assert sieve.sieve_range(0, STEP) == clean
         path.write_bytes(cheb1)
-        assert sieve.sieve_range(0, STEP).flags == clean.flags
-        assert path.read_bytes() == self._expected_bytes(0, STEP, clean.flags)
+        assert sieve.sieve_range(0, STEP) == clean
+        assert path.read_bytes() == self._expected_bytes(0, STEP, clean)
 
     def test_flipped_payload_bit_recomputed(self, tmp_path, monkeypatch):
         monkeypatch.setenv(sieve.CACHE_ENV, str(tmp_path))
@@ -525,7 +546,7 @@ class TestDiskCache:
             both.wait()
             replace(src, dst)
 
-        flags = sieve.sieve_range(0, 1000).flags
+        flags = sieve.sieve_range(0, 1000)
         monkeypatch.setattr(sieve.os, "replace", recorded)
         threads = [threading.Thread(target=sieve._cache_store,
                                     args=(0, 1000, flags))
@@ -543,16 +564,16 @@ class TestDiskCache:
         path = next(tmp_path.iterdir())
         stamp = path.stat().st_mtime_ns
         again = sieve.sieve_range(STEP, 2 * STEP)
-        assert again.flags == first.flags
+        assert again == first
         assert path.stat().st_mtime_ns == stamp  # served from disk, not rewritten
 
     def test_corrupt_cache_recomputed(self, tmp_path, monkeypatch):
         monkeypatch.setenv(sieve.CACHE_ENV, str(tmp_path))
         clean = sieve.sieve_range(0, STEP)
         path = next(tmp_path.iterdir())
-        path.write_bytes(b"CHEB2" + b"\xff" * (len(clean.flags) + 20))
+        path.write_bytes(b"CHEB2" + b"\xff" * (STEP // 16 + 20))
         recomputed = sieve.sieve_range(0, STEP)
-        assert recomputed.flags == clean.flags
+        assert recomputed == clean
 
     def test_wrong_header_ignored(self, tmp_path, monkeypatch):
         monkeypatch.setenv(sieve.CACHE_ENV, str(tmp_path))
@@ -561,13 +582,13 @@ class TestDiskCache:
         data = bytearray(path.read_bytes())
         data[:5] = b"NOPE1"
         path.write_bytes(bytes(data))
-        assert sieve.sieve_range(0, STEP).flags == clean.flags
+        assert sieve.sieve_range(0, STEP) == clean
 
     def test_unwritable_cache_dir_is_silent(self, tmp_path, monkeypatch):
         blocker = tmp_path / "not-a-dir"
         blocker.write_text("occupied")
         monkeypatch.setenv(sieve.CACHE_ENV, str(blocker / "sub"))
-        odds = oracles.odd_primes(sieve.sieve_range(0, STEP))
+        odds = oracles.odd_primes(sieve.sieve_range(0, STEP), 0, STEP)
         assert odds[odds < 100].tolist() == oracles.trial_primes_below(100)[1:]
 
     def test_no_env_no_files(self, tmp_path, monkeypatch):
@@ -595,4 +616,4 @@ class TestDiskCache:
         clean = sieve.sieve_range(0, STEP)
         assert list(tmp_path.iterdir()) == []
         monkeypatch.delenv(sieve.CACHE_ENV)
-        assert sieve.sieve_range(0, STEP).flags == clean.flags
+        assert sieve.sieve_range(0, STEP) == clean
