@@ -19,8 +19,12 @@ all the rows is halved to n bits.  Every held row lies wholly below T,
 so pi_D(T) is recounted over the held rows and the cut: their popcounts
 less those of each row AND the classes hit.  A fold that missed a class
 thus counts non-zero.  The last member drops each row once its residue
-is folded, so its D takes the rows' place; nothing is kept between
-calls.  pi_D_cyclotomic is the same popcount, of each row AND D.
+is folded, so its D takes the rows' place.  Once it alone is pending, it
+folds residue t as soon as row k, t's last row up to the row K cut at T,
+arrives, if t has a row before it (k >= m); the other classes fold at
+T.  So about max(K + 1 - m, m) + 1 of the K + 1 rows below T are held
+at once, and nothing between calls.  pi_D_cyclotomic is the same
+popcount, of each row AND D.
 """
 
 from __future__ import annotations
@@ -98,21 +102,24 @@ def _walk(ns: list[int], alpha: float) -> Iterator[tuple[CyclotomicInstance, int
     """The pass of measure_family, over validated, increasing ns.
 
     Row k of the flags is held for the later members' folds.  `held` is
-    the popcount of the held rows, kept as they are appended.
+    the popcount of the held rows, kept as they are appended.  `early`
+    keeps the last member's classes folded before T: D's row and count.
     """
     if not ns:
         return
     Ts = [n * math.log(n) ** alpha for n in ns]
     pending = [(n, T, math.ceil(T) // 2) for n, T in zip(ns, Ts)]  # odds below T
+    m, last = ns[-1] // _ROW_BITS, pending[-1][2]
     rows: list[int] = []                        # the rows before row k
     held = 0
+    early: dict[int, tuple[int, int]] = {}
     for k, row in enumerate(sieve.odd_rows(Ts[-1])):
         while pending and pending[0][2] <= (k + 1) * _ROW_BITS:
             n, T, bits = pending.pop(0)
             rows.append(row & ((1 << (bits - k * _ROW_BITS)) - 1))  # cut at T
             below = held + rows[-1].bit_count()     # the odd primes below T
             # the last member drops the rows: nothing else reads them
-            D, inside = _fold(rows, n, drop=not pending)
+            D, inside = _fold(rows, n, early, drop=not pending)
             rows.pop()
             # the primes below T minus those in a class the fold marks hit
             yield CyclotomicInstance(
@@ -123,16 +130,19 @@ def _walk(ns: list[int], alpha: float) -> Iterator[tuple[CyclotomicInstance, int
             return
         rows.append(row)
         held += row.bit_count()
+        # row k is the last of its class up to the cut row, and not the first
+        if len(pending) == 1 and 0 < m <= k and last <= (k + m) * _ROW_BITS:
+            early[k % m] = _fold_class(rows, k % m, m, drop=True)
 
 
-def _fold(rows: list[int], n: int, drop: bool) -> tuple[tuple[int, ...], int]:
+def _fold(rows: list[int], n: int, early: dict[int, tuple[int, int]],
+          drop: bool) -> tuple[tuple[int, ...], int]:
     """D for n, as rows, from the classes that `rows` hit, and the number
     of set bits of `rows` in a class hit.
 
-    From n = 2^20 on, row t of the classes hit is the OR of rows[t::m],
-    m = n / 2^20; with `drop` those rows are set to 0 once folded, so D's
-    row t can take their place.  Below it, the OR of all the rows is
-    halved to n bits.
+    From n = 2^20 on, D's row t is taken from `early`, where the walk
+    folded it before T, or else folded now by _fold_class.  Below it, the
+    OR of all the rows is halved to n bits.
     """
     if n < _ROW_BITS:
         hit, width = functools.reduce(operator.or_, rows), _ROW_BITS
@@ -140,17 +150,23 @@ def _fold(rows: list[int], n: int, drop: bool) -> tuple[tuple[int, ...], int]:
             width //= 2
             hit = (hit | hit >> width) & ((1 << width) - 1)
         return (hit ^ ((1 << n) - 1),), _ones(rows, [_tile(hit, n)])
-    m, full = n // _ROW_BITS, (1 << _ROW_BITS) - 1
-    D, inside = [], 0
-    for t in range(m):
-        folded = rows[t::m]
-        hit = functools.reduce(operator.or_, folded, 0)
-        inside += _ones(folded, [hit])
-        if drop:
-            rows[t::m] = [0] * len(folded)
-        del folded
-        D.append(hit ^ full)
-    return tuple(D), inside
+    m = n // _ROW_BITS
+    D, inside = zip(*(early.pop(t, None) or _fold_class(rows, t, m, drop)
+                      for t in range(m)))
+    return D, sum(inside)
+
+
+def _fold_class(rows: list[int], t: int, m: int, drop: bool) -> tuple[int, int]:
+    """D's row t of n = m * 2^20, the complement of the OR of rows[t::m],
+    and the set bits of those rows in a class hit.  With `drop` they are
+    set to 0 once folded, so D's row can take their place."""
+    folded = rows[t::m]
+    hit = functools.reduce(operator.or_, folded, 0)
+    inside = _ones(folded, [hit])
+    if drop:
+        rows[t::m] = [0] * len(folded)
+    del folded
+    return hit ^ ((1 << _ROW_BITS) - 1), inside
 
 
 def _tile(row: int, n: int) -> int:
@@ -189,16 +205,18 @@ def pi_D_cyclotomic(inst: CyclotomicInstance, x: float) -> int:
 def peak_bytes(n: int, alpha: float) -> int:
     """Upper bound on the bytes held at once to build D for n and count pi_D(T).
 
-    The pass holds the flags below T once, as rows of 2^20 bits (T/16
-    bytes), one member's D of n/8 bytes, which the last member builds in
-    the place of the rows it drops, and one sieve segment's workspace: a
-    byte per odd integer and the packed flags, about 1.27 bytes per odd
-    integer.  The charge exceeds that: four times the flags below T in
-    whole segments, n + n/4 bytes for D and the fold, and the workspace
-    at 3 bytes per odd integer.  T is kept as an exact rational, the
-    float log(n)^alpha as num / den, so no n overflows a float.  The
-    family holds the flags below its largest T, so the bound at its
-    largest n covers every member.
+    The pass holds the flags below T, as rows of 2^20 bits (T/16 bytes),
+    and one member's D of n/8 bytes.  The last member folds each class
+    as its last row arrives and builds D in the place of the rows it
+    drops, so the rows and D together come to about max(T/16 - n/8, n/8)
+    bytes.  Add one sieve segment's workspace: a byte per odd integer and
+    the packed flags, about 1.27 bytes per odd integer.  The charge
+    exceeds that: four times the flags below T in whole segments, n + n/4
+    bytes for D and the fold, and the workspace at 3 bytes per odd
+    integer.  T is kept as an exact rational, the float log(n)^alpha as
+    num / den, so no n overflows a float.  The family holds the flags
+    below its largest T, so the bound at its largest n covers every
+    member.
     """
     step = 2 * sieve.SEGMENT_ODDS
     num, den = (math.log(n) ** alpha).as_integer_ratio()

@@ -117,8 +117,9 @@ class TestMeasureFamily:
     def test_empty_family(self):
         assert list(cyclotomic.measure_family([], 0.5)) == []
 
-    @pytest.mark.parametrize("n,alpha", [(1 << 19, 0.99), (1 << 21, 0.5)],
-                             ids=["one-row", "two-rows"])
+    @pytest.mark.parametrize("n,alpha",
+                             [(1 << 19, 0.99), (1 << 21, 0.5), (1 << 22, 0.5)],
+                             ids=["one-row", "two-rows", "folds-before-T"])
     def test_a_fold_that_misses_a_row_counts_its_primes(self, n, alpha,
                                                         monkeypatch):
         # pi_D(T) is recounted over the flags, never taken as 0: a fold that
@@ -161,6 +162,27 @@ class TestMeasureFamily:
             tracemalloc.stop()
         assert counts == [0]
         assert peak <= segments * (1 << 17) + n // 8 + 3 * (1 << 19)
+
+    def test_traced_peak_folds_each_class_as_its_last_row_arrives(self):
+        # Rows 0..K lie below T(2^24); class t = k mod m, m = 16, folds as
+        # its last row arrives if it has one before it (k >= m).  Before
+        # the first such fold max(K + 1 - m, m) rows are held, and each
+        # fold swaps two or more rows for one row of D, so the rows and D
+        # never pass that count plus the arriving row.  Two more rows for
+        # the fold's OR and its popcount temporary, 2^17 bytes each, and
+        # 1.5 MiB for one segment's workspace.
+        n = 1 << 24
+        m = n // sieve.SEGMENT_ODDS
+        K = math.ceil(n * math.log(n) ** 0.5 / (2 * sieve.SEGMENT_ODDS)) - 1
+        tracemalloc.start()
+        try:
+            counts = list(map(operator.itemgetter(1),
+                              cyclotomic.measure_family([n], 0.5)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts == [0]
+        assert peak <= (max(K + 1 - m, m) + 3) * (1 << 17) + 3 * (1 << 19)
 
 
 class TestPiD:
@@ -331,6 +353,55 @@ class TestMultiRowD:
         assert inst == wide
         assert pi_D == 0
         assert family[1][0] == cyclotomic.build_D(1 << 20, 0.5)
+
+
+def hit_by_sieved_primes(n: int, T: float) -> np.ndarray:
+    """The classes k mod n hit by an odd prime below T, as n bools, from
+    oracles.odd_primes one aligned segment at a time."""
+    hit = np.zeros(n, dtype=bool)
+    top, step = math.ceil(T), 2 * sieve.SEGMENT_ODDS
+    for lo in range(0, top, step):
+        hi = min(lo + step, top)
+        primes = oracles.odd_primes(sieve.sieve_range(lo, hi), lo, hi)
+        hit[primes % (2 * n) // 2] = True
+    return hit
+
+
+class TestEarlyFold:
+    """The last member folds class t = k mod m, m = n / 2^20, as its last
+    row k below T arrives, if k >= m; the other classes fold at T.  Each
+    edge of that rule against the sieve's primes unpacked by numpy and
+    against trial division."""
+
+    @pytest.mark.parametrize("n,alpha,rows_per_class", [
+        (1 << 22, 0.1, 0),      # K + 1 = 3 < m = 4: class 3 has no row
+        (1 << 24, 0.99, 8),     # K + 1 = 130: every class folds 8 rows
+    ], ids=["a-class-without-rows", "eight-rows"])
+    def test_matches_sieved_and_trial_primes(self, n, alpha, rows_per_class):
+        inst, pi_D = next(cyclotomic.measure_family([n], alpha))
+        m = n // sieve.SEGMENT_ODDS
+        segments = math.ceil(inst.T / (2 * sieve.SEGMENT_ODDS))
+        assert segments // m == rows_per_class
+        hit = hit_by_sieved_primes(n, inst.T)
+        np.testing.assert_array_equal(oracles.mask(inst), ~hit)
+        assert inst.D_size == n - np.count_nonzero(hit)
+        assert len(inst.rows) == m
+        full = (1 << sieve.SEGMENT_ODDS) - 1
+        assert inst.rows[segments:] == (full,) * max(m - segments, 0)
+        assert pi_D == 0
+        assert cyclotomic.pi_D_cyclotomic(inst, inst.T) == 0
+        # the classes on each side of every seam of D's rows
+        for t in range(m):
+            for k in (t * sieve.SEGMENT_ODDS - 1, t * sieve.SEGMENT_ODDS):
+                d = (2 * k + 1) % inst.q
+                assert inst.contains(d) == in_D_by_trial(inst, d), (t, k)
+        lo = math.ceil(inst.T) + 1
+        hi = lo + 4000
+        expected = sum(1 for p in range(lo | 1, hi, 2)
+                       if oracles.trial_is_prime(p)
+                       and in_D_by_trial(inst, p % inst.q))
+        assert (cyclotomic.pi_D_cyclotomic(inst, hi)
+                - cyclotomic.pi_D_cyclotomic(inst, lo)) == expected
 
 
 class TestInstanceRecord:
