@@ -47,7 +47,7 @@ from .sieve import (
     sieve_range,
 )
 
-__version__ = "0.16.0"
+__version__ = "0.17.0"
 
 __all__ = [
     "BOUNDED",

@@ -253,15 +253,6 @@ def _prime_factors(q: int) -> list[int]:
     return factors + [q] if q > 1 else factors
 
 
-def _multiples(step: int) -> int:
-    """Bits 0, step, 2 * step, ... below SEGMENT_ODDS: one row's worth."""
-    bits, width = 1, step
-    while width < sieve.SEGMENT_ODDS:   # copy the bits below width up by width
-        bits |= (bits & ((1 << (sieve.SEGMENT_ODDS - width)) - 1)) << width
-        width *= 2
-    return bits
-
-
 def cmd_sieve_check(args: argparse.Namespace) -> int:
     rows = []
 
@@ -285,7 +276,7 @@ def cmd_sieve_check(args: argparse.Namespace) -> int:
     xs = sorted({2, 10, 100, 1000, limit // 2, limit})
     below = {x: int(x > 2) for x in {trial_cap, *xs}}
     factors = _prime_factors(q)
-    odd = [(p, _multiples(p)) for p in factors if p > 2]
+    odd = [(p, sieve.tile(1, p)) for p in factors if p > 2]
     shared = 0                  # the odd primes below limit that divide q
     for k, row in enumerate(sieve.odd_rows(xs[-1])):
         start = k * row_bits    # the index of the row's bit 0
@@ -392,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
                              help="self-check the sieve against "
                                   "independent counting routes")
     p_check.add_argument("--limit", type=int, default=10 ** 6,
-                         help="upper bound for the checks (default 10^6)")
+                         help="the checks' bound; monotonicity also counts "
+                              "at 2, 10, 100 and 1000 (default 10^6)")
     p_check.add_argument("--q", type=int, default=12,
                          help="modulus for the progression partition "
                               "check (default 12)")

@@ -13,18 +13,18 @@ too: from n = 2^20 on, row t of D holds the classes [t * 2^20,
 (measure_family, n strictly increasing) is one ordered pass over the
 rows below its largest T, each held as it comes.  At a member's T the
 rows held and the current row cut at T are folded one residue
-t mod m = n / 2^20 at a time: the classes hit in row t are the OR of
-rows[t::m], and D's row t is their complement.  Below n = 2^20 the OR of
-all the rows is halved to n bits.  Every held row lies wholly below T,
-so pi_D(T) is recounted over the held rows and the cut: their popcounts
-less those of each row AND the classes hit.  A fold that missed a class
-thus counts non-zero.  The last member drops each row once its residue
-is folded, so its D takes the rows' place.  Once it alone is pending, it
-folds residue t as soon as row k, t's last row up to the row K cut at T,
-arrives, if t has a row before it (k >= m); the other classes fold at
-T.  So about max(K + 1 - m, m) + 1 of the K + 1 rows below T are held
-at once, and nothing between calls.  pi_D_cyclotomic is the same
-popcount, of each row AND D.
+t mod m = max(n / 2^20, 1) at a time, by the one fold that serves every
+n: the classes hit in D's row t are the OR of rows[t::m], halved to n
+bits while n < 2^20, and D's row t is their complement.  Every held row
+lies wholly below T, so pi_D(T) is recounted over the held rows and the
+cut: their popcounts less those of each row AND the classes hit.  A
+fold that missed a class thus counts non-zero.  The last member drops
+each row once its residue is folded, so its D takes the rows' place.
+Once it alone is pending, it folds residue t as soon as row k, t's last
+row up to the row K cut at T, arrives, if t has a row before it
+(k >= m); the other classes fold at T.  So about max(K + 1 - m, m) + 1
+of the K + 1 rows below T are held at once, and nothing between calls.
+pi_D_cyclotomic is the same popcount, of each row AND D.
 """
 
 from __future__ import annotations
@@ -132,49 +132,35 @@ def _walk(ns: list[int], alpha: float) -> Iterator[tuple[CyclotomicInstance, int
         held += row.bit_count()
         # row k is the last of its class up to the cut row, and not the first
         if len(pending) == 1 and 0 < m <= k and last <= (k + m) * _ROW_BITS:
-            early[k % m] = _fold_class(rows, k % m, m, drop=True)
+            early[k % m] = _fold_class(rows, k % m, ns[-1], drop=True)
 
 
 def _fold(rows: list[int], n: int, early: dict[int, tuple[int, int]],
           drop: bool) -> tuple[tuple[int, ...], int]:
-    """D for n, as rows, from the classes that `rows` hit, and the number
-    of set bits of `rows` in a class hit.
-
-    From n = 2^20 on, D's row t is taken from `early`, where the walk
-    folded it before T, or else folded now by _fold_class.  Below it, the
-    OR of all the rows is halved to n bits.
-    """
-    if n < _ROW_BITS:
-        hit, width = functools.reduce(operator.or_, rows), _ROW_BITS
-        while width > n:
-            width //= 2
-            hit = (hit | hit >> width) & ((1 << width) - 1)
-        return (hit ^ ((1 << n) - 1),), _ones(rows, [_tile(hit, n)])
-    m = n // _ROW_BITS
-    D, inside = zip(*(early.pop(t, None) or _fold_class(rows, t, m, drop)
-                      for t in range(m)))
+    """D for n, as rows, and the set bits of `rows` in a class hit.  D's
+    row t, for t mod max(n / 2^20, 1), is taken from `early`, where the
+    walk folded it before T, or else folded now by _fold_class."""
+    D, inside = zip(*[early.pop(t, None) or _fold_class(rows, t, n, drop)
+                      for t in range(max(n // _ROW_BITS, 1))])
     return D, sum(inside)
 
 
-def _fold_class(rows: list[int], t: int, m: int, drop: bool) -> tuple[int, int]:
-    """D's row t of n = m * 2^20, the complement of the OR of rows[t::m],
-    and the set bits of those rows in a class hit.  With `drop` they are
-    set to 0 once folded, so D's row can take their place."""
+def _fold_class(rows: list[int], t: int, n: int, drop: bool) -> tuple[int, int]:
+    """D's row t for n, and the set bits of rows[t::m], m = max(n / 2^20,
+    1), in a class hit.  D's row is the complement of their OR, halved to
+    n bits while n < 2^20.  With `drop` they are set to 0 once folded, so
+    D's row can take their place."""
+    m = max(n // _ROW_BITS, 1)
     folded = rows[t::m]
-    hit = functools.reduce(operator.or_, folded, 0)
-    inside = _ones(folded, [hit])
+    hit, width = functools.reduce(operator.or_, folded, 0), _ROW_BITS
+    while width > n:
+        width //= 2
+        hit = (hit | hit >> width) & ((1 << width) - 1)
+    inside = _ones(folded, [sieve.tile(hit, n)])
     if drop:
         rows[t::m] = [0] * len(folded)
     del folded
-    return hit ^ ((1 << _ROW_BITS) - 1), inside
-
-
-def _tile(row: int, n: int) -> int:
-    """A row of n bits repeated across 2^20 bits; from n = 2^20 on, the row."""
-    while n < _ROW_BITS:
-        row |= row << n
-        n *= 2
-    return row
+    return hit ^ ((1 << width) - 1), inside
 
 
 def _ones(rows: Iterable[int], cover: Sequence[int]) -> int:
@@ -199,7 +185,7 @@ def pi_D_cyclotomic(inst: CyclotomicInstance, x: float) -> int:
     The popcounts of each row k of the flags below x AND D's row
     k mod (n / 2^20), or AND D tiled across 2^20 bits below n = 2^20.
     """
-    return _ones(sieve.odd_rows(x), [_tile(row, inst.n) for row in inst.rows])
+    return _ones(sieve.odd_rows(x), [sieve.tile(row, inst.n) for row in inst.rows])
 
 
 def peak_bytes(n: int, alpha: float) -> int:
@@ -213,14 +199,11 @@ def peak_bytes(n: int, alpha: float) -> int:
     the packed flags, about 1.27 bytes per odd integer.  The charge
     exceeds that: four times the flags below T in whole segments, n + n/4
     bytes for D and the fold, and the workspace at 3 bytes per odd
-    integer.  T is kept as an exact rational, the float log(n)^alpha as
-    num / den, so no n overflows a float.  The family holds the flags
-    below its largest T, so the bound at its largest n covers every
-    member.
+    integer.  The family holds the flags below its largest T, so the
+    bound at its largest n covers every member.
     """
     step = 2 * sieve.SEGMENT_ODDS
-    num, den = (math.log(n) ** alpha).as_integer_ratio()
-    segments = -(-n * num // (den * step))      # ceil(T / step)
+    segments = math.ceil(n * math.log(n) ** alpha / step)  # exact: n, step 2^k
     return n + n // 4 + 4 * (segments * step // 16) + 3 * sieve.SEGMENT_ODDS
 
 

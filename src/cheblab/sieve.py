@@ -14,9 +14,10 @@ calls but the base primes of the last range.
 The flags have one form in memory, an int whose bit i is set iff
 (lo | 1) + 2i is prime: sieve_range returns it, odd_rows yields it one
 segment (a row of SEGMENT_ODDS bits) at a time, and prime_count,
-sieve-check and the cyclotomic family are popcounts of it.  Flag bytes
-exist only in cache files and inside prime_chunks, which lists the
-primes of a range.  All of it is pure Python: nothing imports numpy.
+sieve-check and the cyclotomic family are popcounts of it, tile spreads
+a residue class across a row for them, and flag bytes exist only in
+cache files and inside prime_chunks, which lists the primes of a range.
+All of it is pure Python: nothing imports numpy.
 """
 
 from __future__ import annotations
@@ -257,6 +258,15 @@ def _rows(segments: Iterator[int], odds: int) -> Iterator[int]:
             row &= (1 << odds) - 1
         odds -= SEGMENT_ODDS
         yield row
+
+
+def tile(bits: int, period: int) -> int:
+    """A pattern of `period` bits doubled until it spans a row, and not cut
+    to the row: from a period of SEGMENT_ODDS on, `bits` itself."""
+    while period < SEGMENT_ODDS:
+        bits |= bits << period
+        period *= 2
+    return bits
 
 
 def prime_count(x: float) -> int:

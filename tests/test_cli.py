@@ -810,9 +810,9 @@ class TestStartUpModules:
     """Start-up, the commands that sieve nothing, the cold cyclotomic
     commands of the paper and sieve-check load no module that only some
     runs need: records are NamedTuples, so no dataclasses (and its
-    inspect), peak_bytes is integer arithmetic, so no fractions (and its
-    decimal), json is imported under --format json alone, and the sieve
-    strikes, packs and counts without numpy."""
+    inspect), peak_bytes is one exact float expression, so no fractions
+    (and its decimal), json is imported under --format json alone, and the
+    sieve strikes, packs and counts without numpy."""
 
     HEAVY = ("dataclasses", "inspect", "fractions", "decimal", "json",
              "numpy")

@@ -489,6 +489,28 @@ class TestPrimeTable:
             sieve.odd_rows(2 ** 64)
 
 
+class TestTile:
+    """tile repeats a pattern of `period` bits across a row: the row's
+    bits equal the pattern written out as a string, repeated and cut."""
+
+    ROW = sieve.SEGMENT_ODDS
+
+    @pytest.mark.parametrize("period", [1 << k for k in range(21)]
+                             + [3, 17, 8191, 1048583])
+    def test_row_bits_repeat_the_pattern(self, period):
+        for bits in (1, random.Random(period).getrandbits(period)):
+            pattern = format(bits, f"0{period}b")[::-1]   # bit 0 first
+            repeated = (pattern * (self.ROW // period + 1))[:self.ROW]
+            want = int(repeated[::-1], 2)
+            assert sieve.tile(bits, period) & ((1 << self.ROW) - 1) == want
+
+    @pytest.mark.parametrize("period", [1 << 20, 1 << 21, 1048583])
+    def test_a_period_of_a_row_or_more_is_the_pattern_itself(self, period):
+        bits = random.Random(period).getrandbits(period)
+        assert sieve.tile(bits, period) is bits
+        assert sieve.tile(1, period) == 1
+
+
 class TestDiskCache:
     def _expected_bytes(self, lo, hi, bits):
         body = (b"CHEB2" + lo.to_bytes(8, "little")
