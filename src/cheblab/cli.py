@@ -269,8 +269,8 @@ def cmd_sieve_check(args: argparse.Namespace) -> int:
     record("segment-independence", len(joined) == 1,
            f"limit={cap} segmentations=2097152;4096;8191")
 
-    # one walk of odd_rows: the primes below x are 2 and the rows' bits
-    # below x // 2, but at the walk's end the rows as odd_rows cut them
+    # one walk of odd_rows: the primes below x are 2 and the rows cut at
+    # x, but at the walk's end the rows as odd_rows cut them
     q, limit, row_bits = args.q, args.limit, sieve.SEGMENT_ODDS
     trial_cap = min(limit, 10 ** 6)
     xs = sorted({2, 10, 100, 1000, limit // 2, limit})
@@ -279,14 +279,12 @@ def cmd_sieve_check(args: argparse.Namespace) -> int:
     odd = [(p, sieve.tile(1, p)) for p in factors if p > 2]
     shared = 0                  # the odd primes below limit that divide q
     for k, row in enumerate(sieve.odd_rows(xs[-1])):
-        start = k * row_bits    # the index of the row's bit 0
-        cut = {x: row if x == xs[-1] or x // 2 - start >= row_bits
-               else row & ((1 << max(x // 2 - start, 0)) - 1) for x in below}
+        cut = {x: row if x == xs[-1] else sieve.cut(row, k, x) for x in below}
         below = {x: n + cut[x].bit_count() for x, n in below.items()}
         # the odd multiples of p lie p apart from p // 2: at most one in a
         # row if p is wider than the row, and no shift by 2^20 or more
         shared += sum(((cut[limit] >> at) & bits).bit_count() for p, bits in odd
-                      if (at := (p // 2 - start) % p) < row_bits)
+                      if (at := (p // 2 - k * row_bits) % p) < row_bits)
 
     want = _trial_prime_count(trial_cap)
     record("trial-division-equivalence", below[trial_cap] == want,
@@ -428,7 +426,7 @@ def _resource_problem(args: argparse.Namespace) -> Optional[str]:
     nothing and are bounded by the exact primality test instead.  A wide
     r is refused from r alone, before any 2^r is built: the cyclotomic
     commands hold more than n bytes, and the dihedral ones test values
-    up to n^2 at least.
+    up to n^2 (falsify) or 4n^2 (dihedral and serre).
     """
     if args.command == "sieve-check":
         # one walk of the segments below limit, rounded up to whole
@@ -448,9 +446,10 @@ def _resource_problem(args: argparse.Namespace) -> Optional[str]:
             amount = f"more than 2^{r}" if wide else f"about {held}"
             return (f"r = {r} would hold {amount} bytes, beyond the memory "
                     f"budget of 2^31 = {MEMORY_BUDGET} bytes")
+    values, top = ("n^2", 2 * r) if args.command == "falsify" else ("4n^2", 2 * r + 2)
     bound = dihedral.MILLER_RABIN_BOUND
-    if family in ("dihedral", "serre") and 2 * r >= bound.bit_length():
-        return (f"r = {r} would need primality tests up to n^2 = 2^{2 * r}, "
+    if family in ("dihedral", "serre") and top >= bound.bit_length():
+        return (f"r = {r} would need primality tests up to {values} = 2^{top}, "
                 f"above {bound}, the bound of the deterministic test")
     return None
 

@@ -12,7 +12,7 @@ too: from n = 2^20 on, row t of D holds the classes [t * 2^20,
 (t + 1) * 2^20), and below it D is one row of n bits.  A family
 (measure_family, n strictly increasing) is one ordered pass over the
 rows below its largest T, each held as it comes.  At a member's T the
-rows held and the current row cut at T are folded one residue
+rows held and the current row, sieve.cut at T, are folded one residue
 t mod m = max(n / 2^20, 1) at a time, by the one fold that serves every
 n: the classes hit in D's row t are the OR of rows[t::m], halved to n
 bits while n < 2^20, and D's row t is their complement.  Every held row
@@ -115,8 +115,8 @@ def _walk(ns: list[int], alpha: float) -> Iterator[tuple[CyclotomicInstance, int
     early: dict[int, tuple[int, int]] = {}
     for k, row in enumerate(sieve.odd_rows(Ts[-1])):
         while pending and pending[0][2] <= (k + 1) * _ROW_BITS:
-            n, T, bits = pending.pop(0)
-            rows.append(row & ((1 << (bits - k * _ROW_BITS)) - 1))  # cut at T
+            n, T, _ = pending.pop(0)
+            rows.append(sieve.cut(row, k, T))
             below = held + rows[-1].bit_count()     # the odd primes below T
             # the last member drops the rows: nothing else reads them
             D, inside = _fold(rows, n, early, drop=not pending)

@@ -13,10 +13,10 @@ calls but the base primes of the last range.
 
 The flags have one form in memory, an int whose bit i is set iff
 (lo | 1) + 2i is prime: sieve_range returns it, odd_rows yields it one
-segment (a row of SEGMENT_ODDS bits) at a time, and prime_count,
-sieve-check and the cyclotomic family are popcounts of it, tile spreads
-a residue class across a row for them, and flag bytes exist only in
-cache files and inside prime_chunks, which lists the primes of a range.
+segment (a row of SEGMENT_ODDS bits) at a time, prime_count, sieve-check
+and the cyclotomic family are popcounts of rows cut below x by cut, tile
+spreads a residue class across a row, and flag bytes exist only in cache
+files and inside prime_chunks, which lists the primes of a range.
 All of it is pure Python: nothing imports numpy.
 """
 
@@ -225,39 +225,22 @@ def _check_count_limit(x: float) -> None:
         raise OverflowError(f"x={x} exceeds the 2**63 sieve limit")
 
 
-def _aligned_segments(lo: int, hi: int) -> Iterator[int]:
-    """Sieve, in order, the whole aligned segments that hold an odd
-    integer of [lo, hi).
-
-    lo | 1 is the first odd integer at or above lo, and it lies in lo's
-    segment.  Segment k starts at an even integer, so its first odd
-    integer k + 1 lies below hi iff k < hi - 1.
-    """
-    _check_range(lo, hi)
-    first = lo - lo % _STEP if lo | 1 < hi else hi
-    return (sieve_range(k, k + _STEP) for k in range(first, hi - 1, _STEP))
+def cut(row: int, k: int, x: float) -> int:
+    """Row k of odd_rows cut to the odd integers below ceil(x): the row
+    itself if they fill it, else its bits below them, none if none."""
+    odds = math.ceil(x) // 2 - k * SEGMENT_ODDS
+    return row if odds >= SEGMENT_ODDS else row & ((1 << max(odds, 0)) - 1)
 
 
 def odd_rows(x: float) -> Iterator[int]:
     """The flags of the odd integers below ceil(x), one int (a row) per
-    aligned segment that holds one of them, in order.
-
-    Bit i of row k is set iff 2 * (k * SEGMENT_ODDS + i) + 1 is prime, so
-    every row has at most SEGMENT_ODDS bits, and the last is cut at
-    ceil(x).  x is checked here, not on the first next().
+    aligned segment that holds one of them (the segment at lo iff
+    lo + 1 < ceil(x)), in order: row k is sieve_range of segment k, cut
+    by cut(row, k, x).  x is checked here, not on the first next().
     """
     _check_count_limit(x)
-    odds = math.ceil(x) // 2            # the odd integers below ceil(x)
-    return _rows(_aligned_segments(0, 2 * odds), odds)
-
-
-def _rows(segments: Iterator[int], odds: int) -> Iterator[int]:
-    """The segments' flags as rows, cut to the first `odds` in all."""
-    for row in segments:
-        if odds < SEGMENT_ODDS:
-            row &= (1 << odds) - 1
-        odds -= SEGMENT_ODDS
-        yield row
+    return (cut(sieve_range(lo, lo + _STEP), lo // _STEP, x)
+            for lo in range(0, math.ceil(x) - 1, _STEP))
 
 
 def tile(bits: int, period: int) -> int:
@@ -278,13 +261,15 @@ def prime_count(x: float) -> int:
 
 def prime_chunks(lo: int, hi: int) -> Iterator[list[int]]:
     """Yield the primes in [lo, hi) as increasing lists."""
+    _check_range(lo, hi)
     # table k maps a flag byte to its bit k: the inverse of _packed's slices
     tables = [bytes(b >> k & 1 for b in range(256)) for k in range(8)]
-    segments = _aligned_segments(lo, hi)
     if lo <= 2 < hi:
         yield [2]
-    for at, seg in zip(itertools.count(lo - lo % _STEP, _STEP), segments):
-        flags = seg.to_bytes(SEGMENT_ODDS // 8, "little")
+    # the segment at `at` holds an odd integer of [lo, hi) iff at + 1 < hi,
+    # and lo | 1, the first odd integer at or above lo, lies in lo's segment
+    for at in range(lo - lo % _STEP if lo | 1 < hi else hi, hi - 1, _STEP):
+        flags = sieve_range(at, at + _STEP).to_bytes(SEGMENT_ODDS // 8, "little")
         row = bytearray(SEGMENT_ODDS)
         for k, table in enumerate(tables):
             row[k::8] = flags.translate(table)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib
 import json
 import math
@@ -11,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import pytest
@@ -202,6 +204,19 @@ class TestResourceGuard:
             assert rc == EXIT_RESOURCE, argv
             assert out == ""
             assert str(dihedral.MILLER_RABIN_BOUND) in err
+
+    def test_refused_before_any_split_prime(self, capsys, monkeypatch):
+        # the least split prime is sought below 4n^2 = 2^(2r + 2), so
+        # r = 39 is refused before r = 2..38 are computed
+        calls = []
+        monkeypatch.setattr(dihedral, "min_split_prime", calls.append)
+        for argv in (("serre", "--r-min", "2", "--r-max", "39"),
+                     ("dihedral", "--r-max", "39")):
+            rc, out, err = run(capsys, *argv)
+            assert rc == EXIT_RESOURCE, argv
+            assert out == ""
+            assert "2^80" in err
+        assert calls == []
 
     def test_falsify_guard(self, capsys):
         rc, out, err = run(capsys, "falsify", "--family", "dihedral",
@@ -607,10 +622,11 @@ class TestSieveCheckCommand:
 
     def test_late_cut_in_odd_rows_shows(self, capsys, monkeypatch):
         # odd_rows cutting one bit late reads 100003, a prime, below
-        # 100002: the count at the walk's end is odd_rows' own popcount
-        rows = sieve._rows
-        monkeypatch.setattr(sieve, "_rows",
-                            lambda segments, odds: rows(segments, odds + 1))
+        # 100002: the count at the walk's end is odd_rows' own popcount.
+        # Only odd_rows' cut is late: cli still sees the true sieve.cut.
+        cut = sieve.cut
+        monkeypatch.setattr(cli, "sieve", types.SimpleNamespace(**vars(sieve)))
+        monkeypatch.setattr(sieve, "cut", lambda row, k, x: cut(row, k, x + 2))
         rc, out, _ = run(capsys, "sieve-check", "--limit", "100002",
                          "--q", "7")
         assert rc == EXIT_FAILURE
@@ -707,6 +723,67 @@ class TestFormats:
         doc = json.loads(out)
         assert doc["summary"]["verdict"] in ("DIVERGES", "BOUNDED")
         assert doc["summary"]["slope_threshold"] == 0.05
+
+
+# The traffic of the benchmark (bench/run.py, seeds 0 and 1, both
+# workloads, without --workers) and the cyclotomic scan at alpha 0.1 and
+# 0.99, with the sha256 of each stdout as cheblab 0.17.0 printed it.
+CYCLOTOMIC_FALSIFY = ("falsify", "--family", "cyclotomic", "--range-alpha",
+                      "0.5", "--r-min", "8", "--r-max", "24")
+DIHEDRAL_FALSIFY = ("falsify", "--family", "dihedral", "--r-min", "4",
+                    "--r-max", "12")
+BENCH_STDOUT_SHA256 = [
+    (DIHEDRAL_FALSIFY + ("--variant=Cprime", "--a=0.25", "--b=-0.5",
+                         "--epsilon=0.02"),
+     "d7964028e05c62f7906562833a2766a602fb74de77a8c6e31252e5f26809afda"),
+    (("serre", "--r-min", "2", "--r-max", "12"),
+     "a93f14ab5cc132a00f47f2db28d1aad24e778582c8c1e5652a67c3be7969daa5"),
+    (("cyclotomic", "--r-min", "2", "--r-max", "24"),
+     "1a7d9e10ae3091ffad42f050dd827d3a922e9b4b93bd874983f1a0527581ac87"),
+    (CYCLOTOMIC_FALSIFY + ("--variant=Cprime", "--a=0.25", "--b=-0.25",
+                           "--epsilon=0.02"),
+     "6b826e58d07b4371df3f3bdb17763060bf3b7044b6082918e725ffba87dc291f"),
+    (CYCLOTOMIC_FALSIFY + ("--variant=C", "--a=0.25", "--b=-0.5",
+                           "--epsilon=0.01"),
+     "afa3d04144eef540ed15b9b8408eef1ccfd3a49beb00c63e0e248e51c8c04ad7"),
+    (CYCLOTOMIC_FALSIFY + ("--variant=Cprime", "--a=0.25", "--b=-0.5",
+                           "--epsilon=0.02"),
+     "fef84d6daac15da752a4a7f1cb3a0be40279b24d823be04565e71baea8738494"),
+    (CYCLOTOMIC_FALSIFY + ("--variant=Cprime", "--a=0.5", "--b=-0.5",
+                           "--epsilon=0.05"),
+     "61a50ac688237b1357dadaf4ad005e8ff1b07e82864b0b0485ad765df237ad99"),
+    (DIHEDRAL_FALSIFY + ("--variant=C", "--a=0.5", "--b=-0.5",
+                         "--epsilon=0.02"),
+     "e3cae2f38a7af4e028db53dc43722d15d64aefcfde950c1b465325c4b23224ed"),
+    (CYCLOTOMIC_FALSIFY + ("--variant=C", "--a=0.25", "--b=-0.25",
+                           "--epsilon=0.02"),
+     "c975843cd8c80b3e04d637931d2bf54189ddf2f956b042117ce472c67af437db"),
+    (CYCLOTOMIC_FALSIFY + ("--variant=C", "--a=0.25", "--b=-0.25",
+                           "--epsilon=0.05"),
+     "de96d8e6aecca7d832e10ff296b498325058d7671dff48f9c7c09c7d616cad63"),
+    (CYCLOTOMIC_FALSIFY + ("--variant=C", "--a=0.5", "--b=-0.5",
+                           "--epsilon=0.02"),
+     "8e9cae734c89cfd817788f86b7ed4b82920d09d9f46ca73c3343cda65dbe315c"),
+    (CYCLOTOMIC_FALSIFY + ("--variant=Cprime", "--a=0.0", "--b=-0.5",
+                           "--epsilon=0.02"),
+     "adcde770bba5633c38a5c0baf6e5161c89e96af064dc071d3b208a2faac1c1ce"),
+    (("cyclotomic", "--r-min", "2", "--r-max", "24", "--alpha", "0.1"),
+     "b1a795ba461663cabd0adf1d351be607ce8682cb40c2a701275b93aa9c7515f0"),
+    (("cyclotomic", "--r-min", "2", "--r-max", "24", "--alpha", "0.99"),
+     "d8fcce4ee25d893b78bdc5282a8fdf225c7448d21b3e138d5cb66e3991fbac4e"),
+]
+
+
+class TestFrozenBenchStdout:
+    def test_stdout_digests(self, capsys, monkeypatch, tmp_path):
+        # in order under one cache: the first cyclotomic command writes
+        # the segments below T(2^24), and the later ones read them
+        monkeypatch.setenv(sieve.CACHE_ENV, str(tmp_path))
+        for argv, digest in BENCH_STDOUT_SHA256:
+            rc, out, _ = run(capsys, *argv)
+            assert rc == EXIT_OK, argv
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+        assert any(tmp_path.iterdir())
 
 
 class TestDeterminismQuick:

@@ -489,6 +489,39 @@ class TestPrimeTable:
             sieve.odd_rows(2 ** 64)
 
 
+def bits_of(row: int) -> np.ndarray:
+    """The 2^20 bits of a row as 0/1 bytes, bit i at index i."""
+    packed = np.frombuffer(row.to_bytes(sieve.SEGMENT_ODDS // 8, "little"),
+                           dtype=np.uint8)
+    return np.unpackbits(packed, bitorder="little")
+
+
+class TestCut:
+    """sieve.cut keeps the bits of row k whose odd integer
+    2 * (k * 2^20 + i) + 1 lies below ceil(x); the oracle reads that off
+    the row's unpacked bits and shares no code with it."""
+
+    X = [0, 0.5, 2, 2.5, STEP - 1, STEP, STEP + 1, 3 * STEP + 5.5]
+
+    @staticmethod
+    def oracle(row: int, k: int, x: float) -> np.ndarray:
+        bits = bits_of(row)
+        odd = 2 * (k * sieve.SEGMENT_ODDS + np.arange(bits.size)) + 1
+        return np.where(odd < math.ceil(x), bits, 0)
+
+    @pytest.mark.parametrize("x", X)
+    @pytest.mark.parametrize("fill", ["ones", "random"])
+    def test_matches_unpacked_bits(self, x, fill):
+        size = sieve.SEGMENT_ODDS
+        row = ((1 << size) - 1 if fill == "ones"
+               else random.Random(x).getrandbits(size))
+        own = math.ceil(x) // 2 // size       # the row that holds x
+        for k in {max(own - 1, 0), own, own + 1}:
+            np.testing.assert_array_equal(
+                bits_of(sieve.cut(row, k, x)), self.oracle(row, k, x),
+                err_msg=f"k={k}")
+
+
 class TestTile:
     """tile repeats a pattern of `period` bits across a row: the row's
     bits equal the pattern written out as a string, repeated and cut."""
