@@ -157,14 +157,16 @@ def bound_denominator(f: BoundFamily, s: ChebotarevSample) -> float:
     try:
         x_part = s.x ** (0.5 + f.epsilon)
         if f.variant == "FG":
-            return x_part * (2 * s.n) ** -0.5
-        base = x_part * s.D_size ** f.a * math.log(s.M)
-        if f.variant == "C":
-            return base * s.n ** (f.b + f.epsilon)
-        return base * s.alpha_G ** f.b * s.n ** f.epsilon
+            denom = x_part * (2 * s.n) ** -0.5
+        else:
+            base = x_part * s.D_size ** f.a * math.log(s.M)
+            denom = (base * s.n ** (f.b + f.epsilon) if f.variant == "C"
+                     else base * s.alpha_G ** f.b * s.n ** f.epsilon)
     except OverflowError:       # a finite exponent too large for a float
-        raise ValueError(
-            f"bound denominator overflows a float at n={s.n}") from None
+        denom = math.inf
+    if not math.isfinite(denom):    # or a product too large for one
+        raise ValueError(f"bound denominator overflows a float at n={s.n}")
+    return denom
 
 
 def implied_constant(f: BoundFamily, s: ChebotarevSample) -> float:
@@ -172,7 +174,10 @@ def implied_constant(f: BoundFamily, s: ChebotarevSample) -> float:
     denom = bound_denominator(f, s)
     if denom <= 0:
         raise ValueError("bound denominator must be positive")
-    return abs_error(s) / denom
+    constant = abs_error(s) / denom
+    if math.isinf(constant):    # a subnormal denominator, say
+        raise ValueError(f"implied constant overflows a float at n={s.n}")
+    return constant
 
 
 def range_check(s: ChebotarevSample, range_alpha: float) -> bool:
@@ -233,11 +238,8 @@ def falsification_scan(
             raise ValueError(
                 f"sample n={s.n}, x={s.x} fails x > n*log(n)^{range_alpha}"
             )
-        err = abs_error(s)
-        den = bound_denominator(f, s)
-        if den <= 0:
-            raise ValueError("bound denominator must be positive")
-        rows.append(ScanRow(s.n, s.x, err, den, err / den, waived))
+        rows.append(ScanRow(s.n, s.x, abs_error(s), bound_denominator(f, s),
+                            implied_constant(f, s), waived))
     consts = [row.constant for row in rows]
     if any(c <= 0 for c in consts):
         raise ValueError("implied constants must be positive for a log-log fit")

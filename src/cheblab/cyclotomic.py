@@ -16,15 +16,15 @@ rows held and the current row, sieve.cut at T, are folded one residue
 t mod m = max(n / 2^20, 1) at a time, by the one fold that serves every
 n: the classes hit in D's row t are the OR of rows[t::m], halved to n
 bits while n < 2^20, and D's row t is their complement.  Every held row
-lies wholly below T, so pi_D(T) is recounted over the held rows and the
-cut: their popcounts less those of each row AND the classes hit.  A
-fold that missed a class thus counts non-zero.  The last member drops
-each row once its residue is folded, so its D takes the rows' place.
-Once it alone is pending, it folds residue t as soon as row k, t's last
-row up to the row K cut at T, arrives, if t has a row before it
-(k >= m); the other classes fold at T.  So about max(K + 1 - m, m) + 1
-of the K + 1 rows below T are held at once, and nothing between calls.
-pi_D_cyclotomic is the same popcount, of each row AND D.
+lies wholly below T, so pi_D(T) is counted as pi_D_cyclotomic counts
+it: the popcounts of the held rows and the cut, each AND D's row.  A
+fold that missed a class, or a D that holds a class hit, thus counts
+non-zero.  The last member drops each row once its residue is folded
+and counted, so its D takes the rows' place.  Once it alone is pending,
+it folds residue t as soon as row k, t's last row up to the row K cut
+at T, arrives, if t has a row before it (k >= m); the other classes
+fold at T.  So about max(K + 1 - m, m) + 1 of the K + 1 rows below T
+are held at once, and nothing between calls.
 """
 
 from __future__ import annotations
@@ -101,8 +101,7 @@ def measure_family(
 def _walk(ns: list[int], alpha: float) -> Iterator[tuple[CyclotomicInstance, int]]:
     """The pass of measure_family, over validated, increasing ns.
 
-    Row k of the flags is held for the later members' folds.  `held` is
-    the popcount of the held rows, kept as they are appended.  `early`
+    Row k of the flags is held for the later members' folds.  `early`
     keeps the last member's classes folded before T: D's row and count.
     """
     if not ns:
@@ -111,56 +110,46 @@ def _walk(ns: list[int], alpha: float) -> Iterator[tuple[CyclotomicInstance, int
     pending = [(n, T, math.ceil(T) // 2) for n, T in zip(ns, Ts)]  # odds below T
     m, last = ns[-1] // _ROW_BITS, pending[-1][2]
     rows: list[int] = []                        # the rows before row k
-    held = 0
     early: dict[int, tuple[int, int]] = {}
     for k, row in enumerate(sieve.odd_rows(Ts[-1])):
         while pending and pending[0][2] <= (k + 1) * _ROW_BITS:
             n, T, _ = pending.pop(0)
             rows.append(sieve.cut(row, k, T))
-            below = held + rows[-1].bit_count()     # the odd primes below T
-            # the last member drops the rows: nothing else reads them
-            D, inside = _fold(rows, n, early, drop=not pending)
+            # the last member drops the rows: nothing else reads them.  A list:
+            # zip(*genexpr) left a tuple per member on CPython's free list
+            D, pi_D = zip(*[early.pop(t, None)
+                              or _fold_class(rows, t, n, drop=not pending)
+                              for t in range(max(n // _ROW_BITS, 1))])
             rows.pop()
-            # the primes below T minus those in a class the fold marks hit
             yield CyclotomicInstance(
                 r=n.bit_length() - 1, n=n, q=2 * n, alpha=alpha, T=T, rows=D,
-            ), below - inside
+            ), sum(pi_D)
             del D               # the consumer holds the member now, or not at all
         if not pending:
             return
         rows.append(row)
-        held += row.bit_count()
         # row k is the last of its class up to the cut row, and not the first
         if len(pending) == 1 and 0 < m <= k and last <= (k + m) * _ROW_BITS:
             early[k % m] = _fold_class(rows, k % m, ns[-1], drop=True)
 
 
-def _fold(rows: list[int], n: int, early: dict[int, tuple[int, int]],
-          drop: bool) -> tuple[tuple[int, ...], int]:
-    """D for n, as rows, and the set bits of `rows` in a class hit.  D's
-    row t, for t mod max(n / 2^20, 1), is taken from `early`, where the
-    walk folded it before T, or else folded now by _fold_class."""
-    D, inside = zip(*[early.pop(t, None) or _fold_class(rows, t, n, drop)
-                      for t in range(max(n // _ROW_BITS, 1))])
-    return D, sum(inside)
-
-
 def _fold_class(rows: list[int], t: int, n: int, drop: bool) -> tuple[int, int]:
     """D's row t for n, and the set bits of rows[t::m], m = max(n / 2^20,
-    1), in a class hit.  D's row is the complement of their OR, halved to
-    n bits while n < 2^20.  With `drop` they are set to 0 once folded, so
+    1), that lie in it.  D's row is the complement of their OR, halved to
+    n bits while n < 2^20.  With `drop` they are set to 0 once counted, so
     D's row can take their place."""
     m = max(n // _ROW_BITS, 1)
     folded = rows[t::m]
-    hit, width = functools.reduce(operator.or_, folded, 0), _ROW_BITS
+    D, width = functools.reduce(operator.or_, folded, 0), _ROW_BITS
     while width > n:
         width //= 2
-        hit = (hit | hit >> width) & ((1 << width) - 1)
-    inside = _ones(folded, [sieve.tile(hit, n)])
+        D = (D | D >> width) & ((1 << width) - 1)
+    D ^= (1 << width) - 1                       # the classes no row hits
+    pi_D = _ones(folded, [sieve.tile(D, n)])
     if drop:
         rows[t::m] = [0] * len(folded)
     del folded
-    return hit ^ ((1 << width) - 1), inside
+    return D, pi_D
 
 
 def _ones(rows: Iterable[int], cover: Sequence[int]) -> int:

@@ -168,6 +168,13 @@ class TestBoundDenominator:
             bounds.bound_denominator(bounds.BoundFamily("C", -0.5, 0.0, 0.01),
                                      s)
 
+    def test_a_product_past_every_float(self):
+        # x^0.51 ~ 1e153 and 4^332 ~ 1e200 are finite, their product is inf
+        s = sample(n=8, x=1e300, D_size=4)
+        f = bounds.BoundFamily("C", 332.0, 0.0, 0.01)
+        with pytest.raises(ValueError, match="overflows a float at n=8"):
+            bounds.bound_denominator(f, s)
+
 
 class TestImpliedConstant:
     def test_zero_error_gives_zero(self):
@@ -179,6 +186,15 @@ class TestImpliedConstant:
         s = sample(D_size=0, pi_D=1)
         f = bounds.BoundFamily("C", 0.5, 0.0, 0.01)
         with pytest.raises(ValueError):
+            bounds.implied_constant(f, s)
+
+    def test_a_quotient_past_every_float(self):
+        # 8^-343.5 is subnormal, about 1e-310: the error over it is inf
+        s = sample(n=8, x=100.0, D_size=4, pi_D=0)
+        f = bounds.BoundFamily("C", 0.0, -343.5, 0.01)
+        assert 0 < bounds.bound_denominator(f, s) < 2.2e-308
+        with pytest.raises(ValueError, match="implied constant overflows a "
+                                             "float at n=8"):
             bounds.implied_constant(f, s)
 
     @pytest.mark.parametrize("variant", ["C", "Cprime"])

@@ -169,12 +169,26 @@ class TestUsageErrors:
          "--b=1e6"),
         ("falsify", "--family", "cyclotomic", "--r-min", "8", "--r-max", "12",
          "--a", "1000"),
-    ], ids=["epsilon", "b", "a"])
+        # each factor is finite; their product overflows to inf at n = 4096
+        ("falsify", "--family", "cyclotomic", "--variant", "C", "--a", "89.1",
+         "--r-min", "8", "--r-max", "12"),
+    ], ids=["epsilon", "b", "a", "a-product"])
     def test_finite_template_values_that_overflow(self, argv, capsys):
-        rc, out, err = run(capsys, *argv)
-        assert rc == EXIT_USAGE
-        assert out == ""
-        assert err.startswith("error: bound denominator overflows a float")
+        for fmt in ("csv", "json"):
+            rc, out, err = run(capsys, *argv, "--format", fmt)
+            assert rc == EXIT_USAGE
+            assert out == ""
+            assert err.startswith("error: bound denominator overflows a float")
+
+    def test_an_implied_constant_that_overflows(self, capsys):
+        # the denominator at n = 64 is subnormal, 4.2e-308, and the error
+        # over it is inf: no row, slope nan or Infinity in the JSON
+        for fmt in ("csv", "json"):
+            rc, out, err = run(capsys, "falsify", "--family", "dihedral",
+                               "--variant", "Cprime", "--r-min", "4",
+                               "--r-max", "6", "--b=-241.7", "--format", fmt)
+            assert (rc, out) == (EXIT_USAGE, "")
+            assert err == "error: implied constant overflows a float at n=64\n"
 
     def test_range_alpha_past_every_float(self, capsys):
         # no float x clears x > n*log(n)^1000: a dihedral sample fails the
