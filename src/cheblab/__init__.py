@@ -47,7 +47,7 @@ from .sieve import (
     sieve_range,
 )
 
-__version__ = "0.19.0"
+__version__ = "0.20.0"
 
 __all__ = [
     "BOUNDED",

@@ -166,6 +166,9 @@ def bound_denominator(f: BoundFamily, s: ChebotarevSample) -> float:
         denom = math.inf
     if not math.isfinite(denom):    # or a product too large for one
         raise ValueError(f"bound denominator overflows a float at n={s.n}")
+    # every factor is positive unless x = 0, or |D| = 0 with a > 0
+    if denom == 0 and s.x > 0 and (s.D_size > 0 or f.a == 0):
+        raise ValueError(f"bound denominator underflows a float at n={s.n}")
     return denom
 
 

@@ -47,23 +47,23 @@ def dihedral_sample(r: int) -> bounds.ChebotarevSample:
     )
 
 
-def _cyclotomic_sample(member: tuple) -> bounds.ChebotarevSample:
-    """Measured sample at x = T for one (instance, pi_D(T)) of the family."""
-    inst, pi_D = member
+def _cyclotomic_sample(counts: tuple) -> bounds.ChebotarevSample:
+    """Measured sample at x = T for one (n, T, |D|, pi_D(T)) of the family."""
+    n, T, D_size, pi_D = counts
     return bounds.ChebotarevSample(
         family="cyclotomic",
-        n=inst.n,
-        x=inst.T,
+        n=n,
+        x=T,
         pi_D=pi_D,
-        li_x=analytic.li(inst.T),
-        D_size=inst.D_size,
-        alpha_G=inst.n,         # abelian group: every class is a singleton
+        li_x=analytic.li(T),
+        D_size=D_size,
+        alpha_G=n,              # abelian group: every class is a singleton
     )
 
 
 def cyclotomic_sample(r: int, alpha: float) -> bounds.ChebotarevSample:
     """Measured sample for the cyclotomic member n = 2^r at x = T."""
-    return _cyclotomic_sample(next(cyclotomic.measure_family([1 << r], alpha)))
+    return _cyclotomic_sample(next(cyclotomic.measure_counts([1 << r], alpha)))
 
 
 def _map_ordered(fn: Callable, keys: Iterable, workers: int) -> list:
@@ -138,14 +138,14 @@ def cmd_dihedral(args: argparse.Namespace) -> int:
 
 
 def cmd_cyclotomic(args: argparse.Namespace) -> int:
-    def row(member: tuple) -> dict:
-        inst, pi_D = member
+    def row(counts: tuple) -> dict:
+        n, T, D_size, pi_D = counts
         return {
-            "r": inst.r, "n": inst.n, "T": inst.T, "D_size": inst.D_size,
-            "density": cyclotomic.density_ratio(inst), "pi_D_at_T": pi_D,
+            "r": n.bit_length() - 1, "n": n, "T": T, "D_size": D_size,
+            "density": D_size / n, "pi_D_at_T": pi_D,   # as density_ratio
         }
 
-    family = cyclotomic.measure_family(
+    family = cyclotomic.measure_counts(
         [1 << r for r in range(args.r_min, args.r_max + 1)], args.alpha)
     rows = _map_ordered(row, family, args.workers)
     return _emit(args, rows)
@@ -159,12 +159,12 @@ def cmd_falsify(args: argparse.Namespace) -> int:
     if args.family == "dihedral":
         samples = _map_ordered(dihedral_sample, rs, args.workers)
     else:
-        def sample(member: tuple) -> bounds.ChebotarevSample:
-            s = _cyclotomic_sample(member)
+        def sample(counts: tuple) -> bounds.ChebotarevSample:
+            s = _cyclotomic_sample(counts)
             bounds.check_scope(args.variant, s.family, s.D_size)
             return s
 
-        family = cyclotomic.measure_family([1 << r for r in rs], args.alpha)
+        family = cyclotomic.measure_counts([1 << r for r in rs], args.alpha)
         samples = _map_ordered(sample, family, args.workers)
     try:
         fam = bounds.BoundFamily(args.variant, args.a, args.b, args.epsilon)

@@ -25,6 +25,14 @@ it folds residue t as soon as row k, t's last row up to the row K cut
 at T, arrives, if t has a row before it (k >= m); the other classes
 fold at T.  So about max(K + 1 - m, m) + 1 of the K + 1 rows below T
 are held at once, and nothing between calls.
+
+measure_counts yields each member's (n, T, |D|, pi_D(T)), the two counts
+that the commands report.  Under CHEB_CACHE_DIR it keeps them as one
+counts record per member, keyed by n and the exact bits of T, through
+the sieve's cache helpers: a member with a valid record is read from
+it, and the others are walked by one measure_family pass and recorded.
+build_D, measure_family and pi_D_cyclotomic return or take D, which no
+record holds, so they neither read nor write records.
 """
 
 from __future__ import annotations
@@ -32,13 +40,16 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from typing import Iterable, Iterator, NamedTuple, Sequence
+import struct
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import sieve
 from .dihedral import _validate_n
 
 _ROW_BITS = sieve.SEGMENT_ODDS  # odd flags per aligned segment: one row
 _ROW_BYTES = _ROW_BITS // 8
+_COUNTS_MAGIC = b"CHEBC"
+_COUNTS = struct.Struct("<QQ")  # a counts record's payload: |D| and pi_D(T)
 
 
 class CyclotomicInstance(NamedTuple):
@@ -88,6 +99,12 @@ def measure_family(
     are sieved once, in order; each member is folded from the held rows
     when the pass reaches its T and is not held here once yielded.
     """
+    return _walk(_checked(ns, alpha), alpha)
+
+
+def _checked(ns: Iterable[int], alpha: float) -> list[int]:
+    """ns as a list, once each n is valid, ns strictly increase and alpha
+    lies in (0, 1)."""
     ns = list(ns)
     for n in ns:
         _validate_n(n)
@@ -95,7 +112,61 @@ def measure_family(
         raise ValueError(f"ns must strictly increase, got {ns}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    return _walk(ns, alpha)
+    return ns
+
+
+def _threshold(n: int, alpha: float) -> float:
+    """T = n * log(n)^alpha: the one expression for a member's threshold,
+    so that a counts record is looked up under the bits the walk uses."""
+    return n * math.log(n) ** alpha
+
+
+def measure_counts(
+    ns: Iterable[int], alpha: float,
+) -> Iterator[tuple[int, float, int, int]]:
+    """Yield (n, T, |D|, pi_D(T)) for each n in turn: measure_family's
+    counts, with its checks of ns and alpha.
+
+    A member whose counts record in CHEB_CACHE_DIR is valid is read from
+    it.  The others are walked by one measure_family pass, and their
+    records stored; so without a cache dir every member is walked.
+    """
+    return _replay(_checked(ns, alpha), alpha)
+
+
+def _replay(ns: list[int],
+            alpha: float) -> Iterator[tuple[int, float, int, int]]:
+    """The members of measure_counts, over validated, increasing ns.  A
+    walked member reaches this frame only as its counts, through map."""
+    Ts = [_threshold(n, alpha) for n in ns]
+    found = [_load_counts(n, T) for n, T in zip(ns, Ts)]
+    missing = [n for n, counts in zip(ns, found) if counts is None]
+    walked = map(_stored_counts, _walk(missing, alpha) if missing else ())
+    for n, T, counts in zip(ns, Ts, found):
+        yield (n, T, *counts) if counts else next(walked)
+
+
+def _counts_file(n: int, T: float) -> tuple[str, bytes]:
+    """A member's counts record: its file name and header, keyed by n and
+    the exact bits of T, on which alone D and pi_D(T) depend."""
+    header = _COUNTS_MAGIC + struct.pack("<Qd", n, T)
+    return f"counts-{n}-{T.hex()}.chebc", header
+
+
+def _load_counts(n: int, T: float) -> Optional[tuple[int, int]]:
+    """(|D|, pi_D(T)) from a valid counts record, or None."""
+    payload = sieve._cache_read(*_counts_file(n, T), _COUNTS.size)
+    return None if payload is None else _COUNTS.unpack(payload)
+
+
+def _stored_counts(
+    member: tuple[CyclotomicInstance, int],
+) -> tuple[int, float, int, int]:
+    """(n, T, |D|, pi_D(T)) of a walked member, stored as its record."""
+    inst, pi_D = member
+    counts = inst.D_size, pi_D
+    sieve._cache_write(*_counts_file(inst.n, inst.T), _COUNTS.pack(*counts))
+    return inst.n, inst.T, *counts
 
 
 def _walk(ns: list[int], alpha: float) -> Iterator[tuple[CyclotomicInstance, int]]:
@@ -106,7 +177,7 @@ def _walk(ns: list[int], alpha: float) -> Iterator[tuple[CyclotomicInstance, int
     """
     if not ns:
         return
-    Ts = [n * math.log(n) ** alpha for n in ns]
+    Ts = [_threshold(n, alpha) for n in ns]
     pending = [(n, T, math.ceil(T) // 2) for n, T in zip(ns, Ts)]  # odds below T
     m, last = ns[-1] // _ROW_BITS, pending[-1][2]
     rows: list[int] = []                        # the rows before row k
@@ -192,7 +263,7 @@ def peak_bytes(n: int, alpha: float) -> int:
     bound at its largest n covers every member.
     """
     step = 2 * sieve.SEGMENT_ODDS
-    segments = math.ceil(n * math.log(n) ** alpha / step)  # exact: n, step 2^k
+    segments = math.ceil(_threshold(n, alpha) / step)  # exact: n, step 2^k
     return n + n // 4 + 4 * (segments * step // 16) + 3 * sieve.SEGMENT_ODDS
 
 

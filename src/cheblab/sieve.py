@@ -8,8 +8,10 @@ Every reader walks whole aligned segments
 [k * 2 * SEGMENT_ODDS, (k + 1) * 2 * SEGMENT_ODDS), and only those are
 cached on disk, so the cache keys do not depend on x or on which reader
 asked.  Cache files end in a CRC-32 of header and payload, so a damaged
-file is recomputed rather than read.  The module holds no state between
-calls but the base primes of the last range.
+file is recomputed rather than read; _cache_read and _cache_write serve
+the segments and the cyclotomic family's per-member counts alike.  The
+module holds no state between calls but the base primes of the last
+range.
 
 The flags have one form in memory, an int whose bit i is set iff
 (lo | 1) + 2i is prime: sieve_range returns it, odd_rows yields it one
@@ -134,51 +136,62 @@ def _packed(row: bytearray) -> bytes:
     return b"".join(pieces)
 
 
-def _cache_path(cache_dir: str, lo: int, hi: int) -> str:
-    return os.path.join(cache_dir, f"sieve-{lo}-{hi}.cheb2")
-
-
-def _cache_header(lo: int, hi: int) -> bytes:
-    return _CACHE_MAGIC + lo.to_bytes(8, "little") + hi.to_bytes(8, "little")
-
-
-def _cache_load(lo: int, hi: int) -> Optional[int]:
+def _cache_read(name: str, header: bytes, size: int) -> Optional[bytes]:
+    """The payload of the cache file `name`, or None: no cache dir, or a
+    file that is missing or unreadable, or does not hold `header`, `size`
+    payload bytes and the CRC-32 of both.  Such files are recomputed
+    silently."""
     cache_dir = os.environ.get(CACHE_ENV)
     if not cache_dir:
         return None
-    header = _cache_header(lo, hi)
-    size = (_odds_in(lo, hi) + 7) // 8
     try:        # the payload is read as its own bytes, so nothing copies it
-        with open(_cache_path(cache_dir, lo, hi), "rb") as fh:
-            head, flags, tail = fh.read(len(header)), fh.read(size), fh.read()
+        with open(os.path.join(cache_dir, name), "rb") as fh:
+            head, payload, tail = fh.read(len(header)), fh.read(size), fh.read()
     except OSError:
         return None
-    crc = zlib.crc32(flags, zlib.crc32(head))
-    if (head != header or len(flags) != size
+    crc = zlib.crc32(payload, zlib.crc32(head))
+    if (head != header or len(payload) != size
             or tail != crc.to_bytes(4, "little")):
-        return None  # corrupt entries are recomputed silently
-    return int.from_bytes(flags, "little")
+        return None
+    return payload
 
 
-def _cache_store(lo: int, hi: int, flags: int) -> None:
+def _cache_write(name: str, header: bytes, payload: bytes) -> None:
+    """Store header, payload and their CRC-32 as the cache file `name`,
+    through a temporary file renamed into place; silent without a cache
+    dir or when the write fails."""
     cache_dir = os.environ.get(CACHE_ENV)
     if not cache_dir:
         return
-    path = _cache_path(cache_dir, lo, hi)
+    path = os.path.join(cache_dir, name)
     tmp = f"{path}.tmp{os.getpid()}-{threading.get_ident()}"
-    header = _cache_header(lo, hi)
-    flags = flags.to_bytes((_odds_in(lo, hi) + 7) // 8, "little")
-    crc = zlib.crc32(flags, zlib.crc32(header))
+    crc = zlib.crc32(payload, zlib.crc32(header))
     try:
         os.makedirs(cache_dir, exist_ok=True)
         with open(tmp, "wb") as fh:
             fh.write(header)
-            fh.write(flags)
+            fh.write(payload)
             fh.write(crc.to_bytes(4, "little"))
         os.replace(tmp, path)
     except OSError:             # cache is best-effort; leave no partial file
         with contextlib.suppress(OSError):
             os.unlink(tmp)
+
+
+def _segment_file(lo: int, hi: int) -> tuple[str, bytes]:
+    """The cache file name and header of the segment [lo, hi)."""
+    header = _CACHE_MAGIC + lo.to_bytes(8, "little") + hi.to_bytes(8, "little")
+    return f"sieve-{lo}-{hi}.cheb2", header
+
+
+def _cache_load(lo: int, hi: int) -> Optional[int]:
+    flags = _cache_read(*_segment_file(lo, hi), (_odds_in(lo, hi) + 7) // 8)
+    return None if flags is None else int.from_bytes(flags, "little")
+
+
+def _cache_store(lo: int, hi: int, flags: int) -> None:
+    _cache_write(*_segment_file(lo, hi),
+                 flags.to_bytes((_odds_in(lo, hi) + 7) // 8, "little"))
 
 
 def _check_range(lo: int, hi: int) -> None:

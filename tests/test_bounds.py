@@ -168,6 +168,23 @@ class TestBoundDenominator:
             bounds.bound_denominator(bounds.BoundFamily("C", -0.5, 0.0, 0.01),
                                      s)
 
+    def test_a_product_below_every_float(self):
+        # 8^-400 underflows to 0.0, though every factor is positive
+        s = sample(n=8, x=100.0, D_size=4)
+        f = bounds.BoundFamily("C", 0.0, -400.0, 0.01)
+        with pytest.raises(ValueError, match="underflows a float at n=8"):
+            bounds.bound_denominator(f, s)
+
+    @pytest.mark.parametrize("D_size, x", [(0, 100.0), (4, 0.0)],
+                             ids=["empty-D", "x-zero"])
+    def test_a_true_zero_is_not_an_underflow(self, D_size, x):
+        s = sample(n=8, x=x, D_size=D_size, pi_D=1, li_x=0.0)
+        f = bounds.BoundFamily("C", 0.5, -400.0, 0.01)
+        assert bounds.bound_denominator(f, s) == 0.0
+        with pytest.raises(ValueError,
+                           match="^bound denominator must be positive$"):
+            bounds.implied_constant(f, s)
+
     def test_a_product_past_every_float(self):
         # x^0.51 ~ 1e153 and 4^332 ~ 1e200 are finite, their product is inf
         s = sample(n=8, x=1e300, D_size=4)

@@ -180,6 +180,20 @@ class TestUsageErrors:
             assert out == ""
             assert err.startswith("error: bound denominator overflows a float")
 
+    @pytest.mark.parametrize("argv, n", [
+        (("falsify", "--family", "dihedral", "--r-min", "4", "--r-max", "8",
+          "--b=-1e6"), 16),
+        (("falsify", "--family", "cyclotomic", "--r-min", "8", "--r-max",
+          "10", "--variant", "C", "--a=-300"), 256),
+    ], ids=["b", "a"])
+    def test_finite_template_values_that_underflow(self, argv, n, capsys):
+        # every factor of the template is positive; their product is 0.0
+        for fmt in ("csv", "json"):
+            rc, out, err = run(capsys, *argv, "--format", fmt)
+            assert (rc, out) == (EXIT_USAGE, "")
+            assert err == ("error: bound denominator underflows a float "
+                           f"at n={n}\n")
+
     def test_an_implied_constant_that_overflows(self, capsys):
         # the denominator at n = 64 is subnormal, 4.2e-308, and the error
         # over it is inf: no row, slope nan or Infinity in the JSON
@@ -788,16 +802,69 @@ BENCH_STDOUT_SHA256 = [
 ]
 
 
+def counting_sieve_range(monkeypatch) -> list:
+    """The ranges sieve.sieve_range is asked for from here on."""
+    calls, sieve_range = [], sieve.sieve_range
+
+    def counted(lo, hi):
+        calls.append((lo, hi))
+        return sieve_range(lo, hi)
+
+    monkeypatch.setattr(sieve, "sieve_range", counted)
+    return calls
+
+
 class TestFrozenBenchStdout:
     def test_stdout_digests(self, capsys, monkeypatch, tmp_path):
-        # in order under one cache: the first cyclotomic command writes
-        # the segments below T(2^24), and the later ones read them
+        # in order under one cache: the first cyclotomic command writes the
+        # segments below T(2^24) and the counts of r 2..24 at alpha 0.5, and
+        # each cyclotomic falsify after it replays the counts, sieving nothing
         monkeypatch.setenv(sieve.CACHE_ENV, str(tmp_path))
+        calls = counting_sieve_range(monkeypatch)
+        replays, cyclotomic_run = [], False
         for argv, digest in BENCH_STDOUT_SHA256:
+            calls.clear()
             rc, out, _ = run(capsys, *argv)
             assert rc == EXIT_OK, argv
             assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+            replay = argv[:len(CYCLOTOMIC_FALSIFY)] == CYCLOTOMIC_FALSIFY
+            if replay and cyclotomic_run:
+                replays.append(calls[:])
+            cyclotomic_run = cyclotomic_run or argv[0] == "cyclotomic"
+        assert replays == [[]] * 8     # every cyclotomic falsify of the list
         assert any(tmp_path.iterdir())
+
+
+class TestCountsReplay:
+    """The cyclotomic commands read each member's |D| and pi_D(T) from its
+    counts record under CHEB_CACHE_DIR, and walk only the members without
+    one."""
+
+    @pytest.mark.parametrize("argv", [
+        ("cyclotomic", "--r-min", "8", "--r-max", "16"),
+        ("falsify", "--family", "cyclotomic", "--r-min", "8", "--r-max", "16",
+         "--format", "json"),
+    ], ids=["cyclotomic", "falsify"])
+    def test_warm_replay_sieves_nothing(self, argv, capsys, monkeypatch,
+                                        tmp_path):
+        _, plain, _ = run(capsys, *argv)
+        monkeypatch.setenv(sieve.CACHE_ENV, str(tmp_path))
+        _, cold, _ = run(capsys, *argv)
+        calls = counting_sieve_range(monkeypatch)
+        rc, warm, _ = run(capsys, *argv)
+        assert (rc, calls) == (EXIT_OK, [])
+        assert warm == cold == plain
+
+    def test_records_of_later_members_leave_segment_0(self, capsys,
+                                                      monkeypatch, tmp_path):
+        monkeypatch.setenv(sieve.CACHE_ENV, str(tmp_path))
+        run(capsys, "cyclotomic", "--r-min", "8", "--r-max", "24")
+        calls = counting_sieve_range(monkeypatch)
+        argv, digest = BENCH_STDOUT_SHA256[2]
+        assert argv == ("cyclotomic", "--r-min", "2", "--r-max", "24")
+        rc, out, _ = run(capsys, *argv)
+        assert (rc, calls) == (EXIT_OK, [(0, 2 * sieve.SEGMENT_ODDS)])
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestDeterminismQuick:

@@ -5,8 +5,10 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import struct
 import tracemalloc
 import types
+import zlib
 
 import numpy as np
 import pytest
@@ -437,3 +439,133 @@ class TestDensityRatio:
                   for r in range(8, 21)]
         assert ratios[-1] > ratios[0]
         assert ratios[-1] > 0.7
+
+
+class TestCountsRecords:
+    """measure_counts reads a member's (|D|, pi_D(T)) from its counts record
+    in CHEB_CACHE_DIR, and walks and records the members without one."""
+
+    NS = [1 << r for r in range(8, 13)]
+
+    @staticmethod
+    def walked(ns, alpha=0.5) -> list:
+        return [(inst.n, inst.T, inst.D_size, pi_D)
+                for inst, pi_D in cyclotomic.measure_family(ns, alpha)]
+
+    @staticmethod
+    def spy(monkeypatch) -> tuple[list, list]:
+        """The ns of each walk, and the ranges sieve_range is asked for."""
+        walks, sieved = [], []
+        walk, sieve_range = cyclotomic._walk, sieve.sieve_range
+
+        def walk_spy(ns, alpha):
+            walks.append(list(ns))
+            return walk(ns, alpha)
+
+        def sieve_spy(lo, hi):
+            sieved.append((lo, hi))
+            return sieve_range(lo, hi)
+
+        monkeypatch.setattr(cyclotomic, "_walk", walk_spy)
+        monkeypatch.setattr(sieve, "sieve_range", sieve_spy)
+        return walks, sieved
+
+    @staticmethod
+    def record(path, n, alpha=0.5):
+        name, _ = cyclotomic._counts_file(n, cyclotomic._threshold(n, alpha))
+        return path / name
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.99])
+    def test_counts_equal_the_walk(self, alpha, tmp_path, monkeypatch):
+        want = self.walked(self.NS, alpha)
+        assert list(cyclotomic.measure_counts(self.NS, alpha)) == want
+        monkeypatch.setenv(sieve.CACHE_ENV, str(tmp_path))
+        cold = list(cyclotomic.measure_counts(self.NS, alpha))
+        warm = list(cyclotomic.measure_counts(self.NS, alpha))
+        assert cold == warm == want
+
+    def test_warm_replay_sieves_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(sieve.CACHE_ENV, str(tmp_path))
+        cold = list(cyclotomic.measure_counts(self.NS, 0.5))
+        walks, sieved = self.spy(monkeypatch)
+        assert list(cyclotomic.measure_counts(self.NS, 0.5)) == cold
+        assert (walks, sieved) == ([], [])
+
+    def test_record_format(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(sieve.CACHE_ENV, str(tmp_path))
+        n, T, D_size, pi_D = next(cyclotomic.measure_counts([1 << 12], 0.5))
+        data = self.record(tmp_path, n).read_bytes()
+        body = (b"CHEBC" + n.to_bytes(8, "little") + struct.pack("<d", T)
+                + D_size.to_bytes(8, "little") + pi_D.to_bytes(8, "little"))
+        assert data == body + zlib.crc32(body).to_bytes(4, "little")
+        assert self.record(tmp_path, n).name == f"counts-4096-{T.hex()}.chebc"
+
+    def test_flipped_payload_bit_is_recounted(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(sieve.CACHE_ENV, str(tmp_path))
+        cold = list(cyclotomic.measure_counts(self.NS, 0.5))
+        path = self.record(tmp_path, 1 << 10)
+        good = path.read_bytes()
+        data = bytearray(good)
+        data[21] ^= 1               # |D|'s lowest bit
+        path.write_bytes(bytes(data))
+        walks, _ = self.spy(monkeypatch)
+        assert list(cyclotomic.measure_counts(self.NS, 0.5)) == cold
+        assert walks == [[1 << 10]]
+        assert path.read_bytes() == good
+
+    @pytest.mark.parametrize("other", [(1 << 9, 0.5), (1 << 10, 0.6)],
+                             ids=["n", "T"])
+    def test_header_of_another_member_is_ignored(self, other, tmp_path,
+                                                 monkeypatch):
+        # a record with a valid CRC under the name of (2^10, T(2^10, 0.5)),
+        # whose header names another n or another T
+        monkeypatch.setenv(sieve.CACHE_ENV, str(tmp_path))
+        cold = list(cyclotomic.measure_counts(self.NS, 0.5))
+        n, alpha = other
+        _, header = cyclotomic._counts_file(n, cyclotomic._threshold(n, alpha))
+        name = self.record(tmp_path, 1 << 10).name
+        sieve._cache_write(name, header, (0).to_bytes(16, "little"))
+        walks, _ = self.spy(monkeypatch)
+        assert list(cyclotomic.measure_counts(self.NS, 0.5)) == cold
+        assert walks == [[1 << 10]]
+
+    def test_unwritable_cache_dir_is_silent(self, tmp_path, monkeypatch):
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("occupied")
+        monkeypatch.setenv(sieve.CACHE_ENV, str(blocker / "sub"))
+        want = self.walked(self.NS)
+        assert list(cyclotomic.measure_counts(self.NS, 0.5)) == want
+        assert list(cyclotomic.measure_counts(self.NS, 0.5)) == want
+        assert [p.name for p in tmp_path.iterdir()] == ["not-a-dir"]
+
+    def test_no_env_no_files(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(sieve.CACHE_ENV, raising=False)
+        monkeypatch.chdir(tmp_path)
+        replaced = []
+        monkeypatch.setattr(sieve.os, "replace",
+                            lambda *args: replaced.append(args))
+        list(cyclotomic.measure_counts(self.NS, 0.5))
+        assert (list(tmp_path.iterdir()), replaced) == ([], [])
+
+    def test_build_D_and_measure_family_write_no_record(self, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.setenv(sieve.CACHE_ENV, str(tmp_path))
+        cyclotomic.build_D(1 << 12, 0.5)
+        list(cyclotomic.measure_family(self.NS, 0.5))
+        cyclotomic.pi_D_cyclotomic(cyclotomic.build_D(1 << 9, 0.5), 1e4)
+        assert [p.name for p in tmp_path.iterdir()] == [
+            f"sieve-0-{2 * sieve.SEGMENT_ODDS}.cheb2"]
+
+    @pytest.mark.parametrize("ns, alpha, message", [
+        ([16, 8], 0.5, "strictly increase"),
+        ([12], 0.5, "power of two"),
+        ([8, 16], 1.0, "alpha must lie in"),
+    ])
+    def test_checks_as_measure_family_does(self, ns, alpha, message, tmp_path,
+                                           monkeypatch):
+        # at the call, with every member's record present
+        monkeypatch.setenv(sieve.CACHE_ENV, str(tmp_path))
+        list(cyclotomic.measure_counts([8, 16], 0.5))
+        for measure in (cyclotomic.measure_family, cyclotomic.measure_counts):
+            with pytest.raises(ValueError, match=message):
+                measure(ns, alpha)
