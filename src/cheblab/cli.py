@@ -371,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
                                parents=[scan, cyclo, template, report],
                                help="implied-constant scan with a "
                                     "divergence verdict")
-    p_falsify.add_argument("--family", choices=("dihedral", "cyclotomic"),
+    p_falsify.add_argument("--family", choices=bounds.FAMILIES,
                            required=True, help="sample family to scan")
     sub.add_parser("serre", parents=[scan, report], allow_abbrev=False,
                    help="least split primes, power-law fit, discriminant "

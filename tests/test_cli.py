@@ -998,6 +998,26 @@ class TestStartUpModules:
         assert proc.stdout.splitlines()[-1] == "loaded=" + allowed
 
 
+class TestPackageModules:
+    """The package namespace re-exports nothing: `import cheblab` loads no
+    other package module, and the CLI loads exactly the modules it uses."""
+
+    CODE = ("import sys; import {}; "
+            "print(' '.join(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'cheblab')))")
+
+    @pytest.mark.parametrize("module, loaded", [
+        ("cheblab", ["cheblab"]),
+        ("cheblab.cli", ["cheblab", "cheblab.analytic", "cheblab.bounds",
+                         "cheblab.cli", "cheblab.cyclotomic",
+                         "cheblab.dihedral", "cheblab.sieve"]),
+    ], ids=["cheblab", "cheblab.cli"])
+    def test_loaded_package_modules(self, module, loaded):
+        proc = TestWithoutNumpy.python("-c", self.CODE.format(module))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == loaded
+
+
 class TestRecordsStayOutOfReports:
     """The records are tuples, and _fmt joins a tuple with ';' where
     json.dumps writes a list: every report value must be a scalar or a
@@ -1074,6 +1094,24 @@ class TestEntryPoints:
                                "--r-max", "3"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.startswith("r,n,p_min")
+
+    @pytest.mark.parametrize("r_min, code", [("2", EXIT_OK),
+                                             ("1", EXIT_USAGE)],
+                             ids=["exit-0", "exit-2"])
+    def test_console_script_target(self, r_min, code, capsys, monkeypatch):
+        # the [project.scripts] line, read as text: no tomllib on 3.10
+        text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        target = text.split("\n[project.scripts]\n", 1)[1].splitlines()[0]
+        name, _, spec = target.partition(" = ")
+        module, _, attr = spec.strip('"').partition(":")
+        entry = getattr(importlib.import_module(module), attr)
+        monkeypatch.setattr(sys, "argv", [name, "serre", "--r-min", r_min,
+                                          "--r-max", "3"])
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        assert exc.value.code == code
+        out = capsys.readouterr().out
+        assert out.startswith("r,n,p_min") if code == EXIT_OK else out == ""
 
     def test_version_matches_pyproject(self):
         text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
