@@ -36,7 +36,7 @@ def li(x: float) -> float:
     analytic on [log 2, log x]; composite 20-node Gauss-Legendre over
     panels of length <= 1 then converges to machine precision.
     """
-    if x < 2:
+    if not x >= 2:              # so that nan fails too
         raise ValueError(f"li is defined for x >= 2, got {x}")
     a = math.log(2.0)
     b = math.log(x)

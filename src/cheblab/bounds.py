@@ -26,9 +26,12 @@ DIVERGES = "DIVERGES"
 BOUNDED = "BOUNDED"
 
 # Verdict thresholds are tool policy, not a statement from the underlying
-# theory; they are recorded in every report.
-DEFAULT_SLOPE_THRESHOLD = 0.05
-DEFAULT_RATIO_THRESHOLD = 2.0
+# theory; falsify prints them in every summary.
+SLOPE_THRESHOLD = 0.05
+RATIO_THRESHOLD = 2.0
+
+# The product of the primes ramified in L: both families ramify only at 2.
+M = 2
 
 
 class IncompatibleVariantError(ValueError):
@@ -43,7 +46,6 @@ class _Sample(NamedTuple):
     li_x: float
     D_size: int
     alpha_G: int
-    M: int = 2
 
 
 class ChebotarevSample(_Sample):
@@ -57,7 +59,7 @@ class ChebotarevSample(_Sample):
             raise ValueError(f"unknown family {self.family!r}")
         if self.n < 2:
             raise ValueError("n must be at least 2")
-        if self.x < 0:
+        if not self.x >= 0:     # so that nan fails too
             raise ValueError("x must be nonnegative")
         if self.pi_D < 0:
             raise ValueError("pi_D must be nonnegative")
@@ -65,8 +67,6 @@ class ChebotarevSample(_Sample):
             raise ValueError("need 0 <= D_size <= n")
         if not 1 <= self.alpha_G <= self.n:
             raise ValueError("need 1 <= alpha_G <= n")
-        if self.M < 2:
-            raise ValueError("M must be at least 2")
         return self
 
     @classmethod
@@ -104,7 +104,6 @@ class SerreFit(NamedTuple):
 
     exponent_e: float
     constant_c: float
-    points: Tuple[Tuple[int, int], ...]
     low_confidence: bool        # fewer than 3 points
 
 
@@ -118,14 +117,10 @@ class ScanRow(NamedTuple):
 
 
 class ScanReport(NamedTuple):
-    family: BoundFamily
     rows: Tuple[ScanRow, ...]
     slope: float
     last_first_ratio: float
     verdict: str
-    slope_threshold: float
-    ratio_threshold: float
-    range_alpha: float
 
 
 def main_term(s: ChebotarevSample) -> float:
@@ -159,7 +154,7 @@ def bound_denominator(f: BoundFamily, s: ChebotarevSample) -> float:
         if f.variant == "FG":
             denom = x_part * (2 * s.n) ** -0.5
         else:
-            base = x_part * s.D_size ** f.a * math.log(s.M)
+            base = x_part * s.D_size ** f.a * math.log(M)
             denom = (base * s.n ** (f.b + f.epsilon) if f.variant == "C"
                      else base * s.alpha_G ** f.b * s.n ** f.epsilon)
     except OverflowError:       # a finite exponent too large for a float
@@ -212,8 +207,6 @@ def falsification_scan(
     samples: Sequence[ChebotarevSample],
     *,
     range_alpha: float = 1.0,
-    slope_threshold: float = DEFAULT_SLOPE_THRESHOLD,
-    ratio_threshold: float = DEFAULT_RATIO_THRESHOLD,
 ) -> ScanReport:
     """Implied constants along a sample sequence plus a divergence verdict.
 
@@ -224,7 +217,7 @@ def falsification_scan(
     as waived instead of rejected.
 
     Verdict is DIVERGES when the log-log slope of constant vs n exceeds
-    slope_threshold and the last/first ratio exceeds ratio_threshold;
+    SLOPE_THRESHOLD and the last/first ratio exceeds RATIO_THRESHOLD;
     BOUNDED otherwise (meaning: bounded on the tested range).
     """
     samples = list(samples)
@@ -251,18 +244,14 @@ def falsification_scan(
     ratio = consts[-1] / consts[0]
     verdict = (
         DIVERGES
-        if slope > slope_threshold and ratio > ratio_threshold
+        if slope > SLOPE_THRESHOLD and ratio > RATIO_THRESHOLD
         else BOUNDED
     )
     return ScanReport(
-        family=f,
         rows=tuple(rows),
         slope=slope,
         last_first_ratio=ratio,
         verdict=verdict,
-        slope_threshold=slope_threshold,
-        ratio_threshold=ratio_threshold,
-        range_alpha=range_alpha,
     )
 
 
@@ -283,15 +272,14 @@ def serre_fit(points: Iterable[Tuple[int, int]]) -> SerreFit:
     return SerreFit(
         exponent_e=e,
         constant_c=math.exp(logc),
-        points=pts,
         low_confidence=len(pts) < 3,
     )
 
 
-def discriminant_bracket(n: int, M: int) -> Tuple[float, float]:
+def discriminant_bracket(n: int) -> Tuple[float, float]:
     """Bracket (n log M / 2, (n-1) log M + n log n) for log d_K."""
-    if n < 2 or M < 2:
-        raise ValueError("need n >= 2 and M >= 2")
+    if n < 2:
+        raise ValueError("need n >= 2")
     lower = n * math.log(M) / 2.0
     upper = (n - 1) * math.log(M) + n * math.log(n)
     return lower, upper

@@ -142,7 +142,7 @@ def cmd_cyclotomic(args: argparse.Namespace) -> int:
         n, T, D_size, pi_D = counts
         return {
             "r": n.bit_length() - 1, "n": n, "T": T, "D_size": D_size,
-            "density": D_size / n, "pi_D_at_T": pi_D,   # as density_ratio
+            "density": D_size / n, "pi_D_at_T": pi_D,
         }
 
     family = cyclotomic.measure_counts(
@@ -187,9 +187,9 @@ def cmd_falsify(args: argparse.Namespace) -> int:
         "a": args.a,
         "b": args.b,
         "epsilon": args.epsilon,
-        "range_alpha": report.range_alpha,
-        "slope_threshold": report.slope_threshold,
-        "ratio_threshold": report.ratio_threshold,
+        "range_alpha": args.range_alpha,
+        "slope_threshold": bounds.SLOPE_THRESHOLD,
+        "ratio_threshold": bounds.RATIO_THRESHOLD,
         "slope": report.slope,
         "last_first_ratio": report.last_first_ratio,
         "verdict": report.verdict,
@@ -212,7 +212,7 @@ def cmd_serre(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     rows = []
     for n, p_min in points:
-        lo, hi = bounds.discriminant_bracket(n, 2)
+        lo, hi = bounds.discriminant_bracket(n)
         rows.append({
             "r": n.bit_length() - 1, "n": n, "p_min": p_min,
             "log_dK_lo": lo, "log_dK_hi": hi,

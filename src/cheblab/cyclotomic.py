@@ -61,10 +61,8 @@ class CyclotomicInstance(NamedTuple):
     the rows included.
     """
 
-    r: int
     n: int                      # |G| = phi(2n) = 2^r
     q: int                      # modulus 2n = 2^(r+1)
-    alpha: float
     T: float                    # n * log(n)^alpha
     rows: tuple[int, ...]       # D
 
@@ -192,9 +190,7 @@ def _walk(ns: list[int], alpha: float) -> Iterator[tuple[CyclotomicInstance, int
                               or _fold_class(rows, t, n, drop=not pending)
                               for t in range(max(n // _ROW_BITS, 1))])
             rows.pop()
-            yield CyclotomicInstance(
-                r=n.bit_length() - 1, n=n, q=2 * n, alpha=alpha, T=T, rows=D,
-            ), sum(pi_D)
+            yield CyclotomicInstance(n=n, q=2 * n, T=T, rows=D), sum(pi_D)
             del D               # the consumer holds the member now, or not at all
         if not pending:
             return
@@ -265,8 +261,3 @@ def peak_bytes(n: int, alpha: float) -> int:
     step = 2 * sieve.SEGMENT_ODDS
     segments = math.ceil(_threshold(n, alpha) / step)  # exact: n, step 2^k
     return n + n // 4 + 4 * (segments * step // 16) + 3 * sieve.SEGMENT_ODDS
-
-
-def density_ratio(inst: CyclotomicInstance) -> float:
-    """|D| / n, which tends to 1 as n grows."""
-    return inst.D_size / inst.n

@@ -83,7 +83,7 @@ def pi_D_dihedral(n: int, x: float) -> int:
     pi x / (8 n) of them, against one predicate test per prime below x.
     """
     _validate_n(n)
-    if x < 0:
+    if not x >= 0:              # so that nan fails too
         raise ValueError("x must be nonnegative")
     if x <= 3:
         return 0

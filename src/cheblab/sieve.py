@@ -232,7 +232,7 @@ def sieve_range(lo: int, hi: int) -> int:
 
 
 def _check_count_limit(x: float) -> None:
-    if x < 0:
+    if not x >= 0:              # so that nan fails too
         raise ValueError("x must be nonnegative")
     if x > MAX_LIMIT:
         raise OverflowError(f"x={x} exceeds the 2**63 sieve limit")

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from cheblab import analytic, bounds, dihedral
+from cheblab import analytic, bounds, dihedral, sieve
 
 import oracles
 
@@ -19,18 +19,17 @@ LOG2 = math.log(2.0)
 
 
 def sample(family="cyclotomic", n=8, x=100.0, pi_D=0, li_x=None,
-           D_size=4, alpha_G=8, M=2) -> bounds.ChebotarevSample:
+           D_size=4, alpha_G=8) -> bounds.ChebotarevSample:
     if li_x is None:
         li_x = oracles.LI_HIGH_PRECISION.get(x, analytic.li(x))
     return bounds.ChebotarevSample(family=family, n=n, x=float(x), pi_D=pi_D,
-                                   li_x=li_x, D_size=D_size, alpha_G=alpha_G,
-                                   M=M)
+                                   li_x=li_x, D_size=D_size, alpha_G=alpha_G)
 
 
 class TestSampleValidation:
     def test_accepts_valid(self):
         s = sample()
-        assert s.n == 8 and s.M == 2
+        assert s.n == 8
 
     def test_zero_D_size_is_legal(self):
         assert sample(D_size=0).D_size == 0
@@ -48,7 +47,6 @@ class TestSampleValidation:
         assert message(alpha_G=9) == "need 1 <= alpha_G <= n"
         assert message(pi_D=-1) == "pi_D must be nonnegative"
         assert message(x=-1.0, li_x=0.0) == "x must be nonnegative"
-        assert message(M=1) == "M must be at least 2"
 
 
 class TestBoundFamilyValidation:
@@ -73,8 +71,6 @@ class TestRecords:
         assert sample()._replace(pi_D=3).pi_D == 3
 
     def test_positional_defaults(self):
-        s = bounds.ChebotarevSample("dihedral", 16, 256.0, 0, 1.0, 1, 7)
-        assert s.M == 2
         assert bounds.BoundFamily("C") == ("C", 0.0, 0.0, 0.01)
 
     def test_fields_are_read_only(self, dihedral_samples):
@@ -82,6 +78,11 @@ class TestRecords:
         report = bounds.falsification_scan(
             fam, [dihedral_samples[r] for r in range(4, 7)])
         fit = bounds.serre_fit([(4, 17), (8, 73), (16, 257)])
+        assert dihedral_samples[4]._fields == (
+            "family", "n", "x", "pi_D", "li_x", "D_size", "alpha_G")
+        assert report._fields == ("rows", "slope", "last_first_ratio",
+                                  "verdict")
+        assert fit._fields == ("exponent_e", "constant_c", "low_confidence")
         for record in (dihedral_samples[4], fam, fit, report,
                        report.rows[0]):
             for name in (*record._fields, "extra"):
@@ -334,13 +335,28 @@ class TestFalsificationScan:
         with pytest.raises(ValueError):
             self.scan(f, samples, range_alpha=3.0)
 
-    def test_custom_thresholds_change_verdict(self, dihedral_samples):
+    @pytest.mark.parametrize("last,verdict", [
+        (1.9, bounds.BOUNDED),      # the slope clears, the ratio does not
+        (2.1, bounds.DIVERGES),     # both clear
+    ])
+    def test_verdict_needs_both_thresholds(self, last, verdict,
+                                           dihedral_samples):
         f = bounds.BoundFamily("Cprime", 0.5, -0.5, 0.01)
-        samples = [dihedral_samples[r] for r in range(4, 13)]
-        strict = self.scan(f, samples, slope_threshold=0.25,
-                           ratio_threshold=4.0)
-        assert strict.verdict == bounds.BOUNDED
-        assert strict.slope_threshold == 0.25
+        consts = [1.0, 0.5, last]
+        # pi_D = 0, so each constant is (li_x / n) / denominator
+        samples = [s._replace(li_x=c * s.n * bounds.bound_denominator(f, s))
+                   for s, c in zip([dihedral_samples[r] for r in (4, 5, 6)],
+                                   consts)]
+        report = self.scan(f, samples)
+        assert [row.constant for row in report.rows] == pytest.approx(
+            consts, rel=1e-12)
+        # n doubles each step: the slope is log2(last / first) / 2
+        assert report.slope == pytest.approx(math.log2(last) / 2, rel=1e-9)
+        assert report.slope > bounds.SLOPE_THRESHOLD
+        assert report.last_first_ratio == pytest.approx(last, rel=1e-12)
+        assert ((report.last_first_ratio > bounds.RATIO_THRESHOLD)
+                == (verdict == bounds.DIVERGES))
+        assert report.verdict == verdict
 
     def test_slope_agrees_with_polyfit(self, dihedral_samples):
         f = bounds.BoundFamily(variant="Cprime", a=0.0, b=-0.5, epsilon=0.01)
@@ -369,7 +385,7 @@ class TestSerreFit:
         assert fit.exponent_e == pytest.approx(1.978188, rel=1e-5)
         assert fit.constant_c == pytest.approx(1.114142, rel=1e-5)
         assert not fit.low_confidence
-        assert all(p > n * n for n, p in fit.points)
+        assert all(p > n * n for n, p in self.POINTS_R2_R8)
 
     def test_extended_fit_stays_above_1_9(self):
         pts = self.POINTS_R2_R8 + [(512, 262153), (1024, 1048601)]
@@ -427,24 +443,46 @@ class TestSerreFit:
 
 class TestDiscriminantBracket:
     def test_examples(self):
-        lo, hi = bounds.discriminant_bracket(16, 2)
+        lo, hi = bounds.discriminant_bracket(16)
         assert lo == pytest.approx(8 * LOG2, rel=1e-15)
         assert hi == pytest.approx(15 * LOG2 + 16 * math.log(16), rel=1e-15)
-        lo2, hi2 = bounds.discriminant_bracket(2, 2)
+        lo2, hi2 = bounds.discriminant_bracket(2)
         assert lo2 == pytest.approx(LOG2, rel=1e-15)
         assert hi2 == pytest.approx(3 * LOG2, rel=1e-15)
 
     def test_order_of_endpoints(self):
         for r in range(1, 11):
-            for M in (2, 3, 5):
-                lo, hi = bounds.discriminant_bracket(1 << r, M)
-                assert lo <= hi
+            lo, hi = bounds.discriminant_bracket(1 << r)
+            assert lo <= hi
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            bounds.discriminant_bracket(1, 2)
-        with pytest.raises(ValueError):
-            bounds.discriminant_bracket(4, 1)
+            bounds.discriminant_bracket(1)
+
+
+class TestNanFailsRangeChecks:
+    # each range check is a comparison that nan fails, so nan meets the
+    # check's own message; inf still meets the resource guards
+    @pytest.mark.parametrize("call, x, error, message", [
+        (lambda x: dihedral.pi_D_dihedral(4, x), math.nan, ValueError,
+         "x must be nonnegative"),
+        (lambda x: sample(x=x, li_x=0.0), math.nan, ValueError,
+         "x must be nonnegative"),
+        (analytic.li, math.nan, ValueError,
+         "li is defined for x >= 2, got nan"),
+        (sieve.prime_count, math.nan, ValueError, "x must be nonnegative"),
+        (lambda x: dihedral.pi_D_dihedral(4, x), math.inf,
+         dihedral.ExactBoundExceeded, None),
+        (sieve.prime_count, math.inf, OverflowError,
+         "x=inf exceeds the 2**63 sieve limit"),
+    ], ids=["pi_D_dihedral-nan", "ChebotarevSample-nan", "li-nan",
+            "prime_count-nan", "pi_D_dihedral-inf", "prime_count-inf"])
+    def test_nan_fails_and_inf_meets_the_guard(self, call, x, error, message):
+        # ExactBoundExceeded is a ValueError: compare the type exactly
+        with pytest.raises(Exception) as info:
+            call(x)
+        assert type(info.value) is error
+        assert message is None or str(info.value) == message
 
 
 class TestAgainstIndependentConstants:

@@ -26,10 +26,8 @@ def synthetic_instance(n: int, T: float) -> cyclotomic.CyclotomicInstance:
     For every valid build_D input T = n*log(n)^alpha >= 4, so the
     degenerate no-odd-prime-below-T case is reachable only synthetically.
     """
-    return cyclotomic.CyclotomicInstance(
-        r=n.bit_length() - 1, n=n, q=2 * n, alpha=0.5, T=T,
-        rows=((1 << n) - 1,),
-    )
+    return cyclotomic.CyclotomicInstance(n=n, q=2 * n, T=T,
+                                         rows=((1 << n) - 1,))
 
 
 class TestBuildD:
@@ -409,7 +407,8 @@ class TestEarlyFold:
 class TestInstanceRecord:
     def test_fields_are_read_only(self):
         inst = cyclotomic.build_D(16, 0.5)
-        for name in ("r", "n", "q", "alpha", "T", "D", "extra"):
+        assert inst._fields == ("n", "q", "T", "rows")
+        for name in (*inst._fields, "D", "extra"):
             with pytest.raises(AttributeError):
                 setattr(inst, name, 0)
 
@@ -421,21 +420,22 @@ class TestInstanceRecord:
 
 class TestDensityRatio:
     def test_hand_example(self):
-        assert cyclotomic.density_ratio(cyclotomic.build_D(4, 0.5)) == 0.75
+        inst = cyclotomic.build_D(4, 0.5)
+        assert inst.D_size / inst.n == 0.75
 
     def test_full_D_when_threshold_below_first_odd_prime(self):
         inst = synthetic_instance(4, 2.5)
-        assert cyclotomic.density_ratio(inst) == 1.0
+        assert inst.D_size / inst.n == 1.0
         assert cyclotomic.pi_D_cyclotomic(inst, 2.5) == 0
 
     def test_lower_bound_from_complement(self, cyclotomic_instances):
         for inst in cyclotomic_instances.values():
             floor = 1.0 - sieve.prime_count(inst.T) / inst.n
-            assert cyclotomic.density_ratio(inst) >= floor
+            assert inst.D_size / inst.n >= floor
 
     def test_reported_sequence_tends_up(self, cyclotomic_instances):
         # no monotonicity is promised; record that density climbs overall
-        ratios = [cyclotomic.density_ratio(cyclotomic_instances[r])
+        ratios = [cyclotomic_instances[r].D_size / cyclotomic_instances[r].n
                   for r in range(8, 21)]
         assert ratios[-1] > ratios[0]
         assert ratios[-1] > 0.7
