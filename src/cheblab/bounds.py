@@ -1,10 +1,9 @@
 """Bound templates, implied constants, falsification scans and fits.
 
-Three error-term templates are evaluated against measured samples:
+Two error-term templates are evaluated against measured samples:
 
   C       x^(1/2+eps) * |D|^a * |G|^(b+eps) * log M
   Cprime  x^(1/2+eps) * |D|^a * alpha(G)^b * |G|^eps * log M
-  FG      x^(1/2+eps) * q^(-1/2)            (q = 2n; no log M factor)
 
 The implied constant of a sample is |pi_D - (|D|/|G|) Li(x)| divided by
 the template value; a family is empirically falsified when the constants
@@ -19,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple, Sequence, Tuple
 
-VARIANTS = ("C", "Cprime", "FG")
+VARIANTS = ("C", "Cprime")
 FAMILIES = ("dihedral", "cyclotomic")
 
 DIVERGES = "DIVERGES"
@@ -32,10 +31,6 @@ RATIO_THRESHOLD = 2.0
 
 # The product of the primes ramified in L: both families ramify only at 2.
 M = 2
-
-
-class IncompatibleVariantError(ValueError):
-    """Bound template applied to a sample outside its stated scope."""
 
 
 class _Sample(NamedTuple):
@@ -82,7 +77,7 @@ class _Family(NamedTuple):
 
 
 class BoundFamily(_Family):
-    """A template (C_{a,b}), (C'_{a,b}) or the fixed-shape FG conjecture."""
+    """A template, (C_{a,b}) or (C'_{a,b}), with finite a, b and epsilon."""
 
     __slots__ = ()
 
@@ -92,6 +87,10 @@ class BoundFamily(_Family):
             raise ValueError(f"variant must be one of {VARIANTS}")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
+        for name in ("a", "b", "epsilon"):     # 1 ** nan is 1.0
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         return self
 
     @classmethod
@@ -133,30 +132,14 @@ def abs_error(s: ChebotarevSample) -> float:
     return abs(s.pi_D - main_term(s))
 
 
-def check_scope(variant: str, family: str, D_size: int = 1) -> None:
-    """Raise IncompatibleVariantError unless the template takes a sample of
-    this family and |D|.  With the default D_size: unless it takes some
-    sample of the family, which a scan can ask before it builds one.
-    """
-    if variant == "FG" and (family != "cyclotomic" or D_size != 1):
-        raise IncompatibleVariantError(
-            "FG applies to cyclotomic samples with a single residue class"
-        )
-
-
 def bound_denominator(f: BoundFamily, s: ChebotarevSample) -> float:
     """Template value at the sample; natural log of M throughout."""
-    check_scope(f.variant, s.family, s.D_size)     # FG: D_size is 1
     if s.D_size == 0 and f.a < 0:
         raise ValueError("D_size = 0 with a < 0 makes the template singular")
     try:
-        x_part = s.x ** (0.5 + f.epsilon)
-        if f.variant == "FG":
-            denom = x_part * (2 * s.n) ** -0.5
-        else:
-            base = x_part * s.D_size ** f.a * math.log(M)
-            denom = (base * s.n ** (f.b + f.epsilon) if f.variant == "C"
-                     else base * s.alpha_G ** f.b * s.n ** f.epsilon)
+        base = s.x ** (0.5 + f.epsilon) * s.D_size ** f.a * math.log(M)
+        denom = (base * s.n ** (f.b + f.epsilon) if f.variant == "C"
+                 else base * s.alpha_G ** f.b * s.n ** f.epsilon)
     except OverflowError:       # a finite exponent too large for a float
         denom = math.inf
     if not math.isfinite(denom):    # or a product too large for one
@@ -180,7 +163,7 @@ def implied_constant(f: BoundFamily, s: ChebotarevSample) -> float:
 
 def range_check(s: ChebotarevSample, range_alpha: float) -> bool:
     """Whether x clears the range restriction x > n * log(n)^range_alpha."""
-    if range_alpha < 0:
+    if not range_alpha >= 0:    # so that nan fails too
         raise ValueError("range_alpha must be nonnegative")
     try:
         return s.x > s.n * math.log(s.n) ** range_alpha

@@ -152,20 +152,12 @@ def cmd_cyclotomic(args: argparse.Namespace) -> int:
 
 
 def cmd_falsify(args: argparse.Namespace) -> int:
-    # a template the family cannot take exits before any sample is built,
-    # and one a member cannot take at that member, not after the walk
-    bounds.check_scope(args.variant, args.family)
     rs = range(args.r_min, args.r_max + 1)
     if args.family == "dihedral":
         samples = _map_ordered(dihedral_sample, rs, args.workers)
     else:
-        def sample(counts: tuple) -> bounds.ChebotarevSample:
-            s = _cyclotomic_sample(counts)
-            bounds.check_scope(args.variant, s.family, s.D_size)
-            return s
-
         family = cyclotomic.measure_counts([1 << r for r in rs], args.alpha)
-        samples = _map_ordered(sample, family, args.workers)
+        samples = _map_ordered(_cyclotomic_sample, family, args.workers)
     try:
         fam = bounds.BoundFamily(args.variant, args.a, args.b, args.epsilon)
         report = bounds.falsification_scan(fam, samples,
@@ -466,9 +458,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_RESOURCE
     try:
         return _COMMANDS[args.command](args)
-    except bounds.IncompatibleVariantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except dihedral.SearchLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE

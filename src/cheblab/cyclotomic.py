@@ -258,6 +258,7 @@ def peak_bytes(n: int, alpha: float) -> int:
     integer.  The family holds the flags below its largest T, so the
     bound at its largest n covers every member.
     """
+    _checked([n], alpha)
     step = 2 * sieve.SEGMENT_ODDS
     segments = math.ceil(_threshold(n, alpha) / step)  # exact: n, step 2^k
     return n + n // 4 + 4 * (segments * step // 16) + 3 * sieve.SEGMENT_ODDS

@@ -219,14 +219,16 @@ def sieve_range(lo: int, hi: int) -> int:
             "stream it with odd_rows or prime_chunks"
         )
 
-    whole_segment = lo % _STEP == 0 and hi - lo == _STEP
-    cached = _cache_load(lo, hi) if whole_segment else None
+    # without a cache dir no segment's name, header or payload is built
+    cacheable = (lo % _STEP == 0 and hi - lo == _STEP
+                 and os.environ.get(CACHE_ENV))
+    cached = _cache_load(lo, hi) if cacheable else None
     if cached is not None:
         return cached
 
     # the row is freed before the int is built, which reads bytes in place
     flags = int.from_bytes(_packed(_odd_bytes(lo, hi)), "little")
-    if whole_segment:
+    if cacheable:
         _cache_store(lo, hi, flags)
     return flags
 

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from cheblab import analytic, bounds, dihedral, sieve
+from cheblab import analytic, bounds, cyclotomic, dihedral, sieve
 
 import oracles
 
@@ -56,8 +56,9 @@ class TestBoundFamilyValidation:
                 bounds.BoundFamily(*args)
             return str(info.value)
 
-        assert message("D", 0.5, 0.0, 0.01) == (
-            "variant must be one of ('C', 'Cprime', 'FG')")
+        for variant in ("D", "FG"):
+            assert message(variant, 0.5, 0.0, 0.01) == (
+                "variant must be one of ('C', 'Cprime')")
         for eps in (0.0, -0.1, math.nan):
             assert message("C", 0.5, 0.0, eps) == "epsilon must be positive"
 
@@ -143,23 +144,6 @@ class TestBoundDenominator:
         cp = bounds.bound_denominator(
             bounds.BoundFamily("Cprime", a, 0.0, eps), s)
         assert c == cp  # exact equality, not approximate
-
-    def test_fg_formula(self):
-        s = sample(family="cyclotomic", n=8, x=100.0, D_size=1, alpha_G=8)
-        f = bounds.BoundFamily("FG", 0.0, 0.0, 0.01)
-        expected = 100.0 ** 0.51 * 16.0 ** -0.5  # no log M factor
-        assert bounds.bound_denominator(f, s) == pytest.approx(expected,
-                                                               rel=1e-12)
-
-    def test_fg_rejects_wrong_samples(self):
-        f = bounds.BoundFamily("FG", 0.0, 0.0, 0.01)
-        dihedral_s = sample(family="dihedral", n=16, x=256.0, D_size=1,
-                            alpha_G=7)
-        with pytest.raises(bounds.IncompatibleVariantError):
-            bounds.bound_denominator(f, dihedral_s)
-        wide_D = sample(family="cyclotomic", n=8, x=100.0, D_size=3)
-        with pytest.raises(bounds.IncompatibleVariantError):
-            bounds.bound_denominator(f, wide_D)
 
     def test_empty_D(self):
         s = sample(D_size=0)
@@ -462,7 +446,8 @@ class TestDiscriminantBracket:
 
 class TestNanFailsRangeChecks:
     # each range check is a comparison that nan fails, so nan meets the
-    # check's own message; inf still meets the resource guards
+    # check's own message; inf still meets the resource guards, and a
+    # template value must be finite, since 1 ** nan == 1 ** inf == 1.0
     @pytest.mark.parametrize("call, x, error, message", [
         (lambda x: dihedral.pi_D_dihedral(4, x), math.nan, ValueError,
          "x must be nonnegative"),
@@ -475,8 +460,27 @@ class TestNanFailsRangeChecks:
          dihedral.ExactBoundExceeded, None),
         (sieve.prime_count, math.inf, OverflowError,
          "x=inf exceeds the 2**63 sieve limit"),
+        (lambda x: bounds.BoundFamily("C", x), math.nan, ValueError,
+         "a must be finite, got nan"),
+        (lambda x: bounds.BoundFamily("C", x), math.inf, ValueError,
+         "a must be finite, got inf"),
+        (lambda x: bounds.BoundFamily("C", 0.0, x), math.nan, ValueError,
+         "b must be finite, got nan"),
+        (lambda x: bounds.BoundFamily("C", 0.0, x), -math.inf, ValueError,
+         "b must be finite, got -inf"),
+        (lambda x: bounds.BoundFamily("C", 0.0, 0.0, x), math.inf,
+         ValueError, "epsilon must be finite, got inf"),
+        (lambda x: bounds.range_check(sample(), x), math.nan, ValueError,
+         "range_alpha must be nonnegative"),
+        (lambda x: cyclotomic.peak_bytes(16, x), math.nan, ValueError,
+         "alpha must lie in (0, 1), got nan"),
+        (lambda x: cyclotomic.peak_bytes(16, x), 1.5, ValueError,
+         "alpha must lie in (0, 1), got 1.5"),
     ], ids=["pi_D_dihedral-nan", "ChebotarevSample-nan", "li-nan",
-            "prime_count-nan", "pi_D_dihedral-inf", "prime_count-inf"])
+            "prime_count-nan", "pi_D_dihedral-inf", "prime_count-inf",
+            "BoundFamily-a-nan", "BoundFamily-a-inf", "BoundFamily-b-nan",
+            "BoundFamily-b-minus-inf", "BoundFamily-epsilon-inf",
+            "range_check-nan", "peak_bytes-nan", "peak_bytes-above-one"])
     def test_nan_fails_and_inf_meets_the_guard(self, call, x, error, message):
         # ExactBoundExceeded is a ValueError: compare the type exactly
         with pytest.raises(Exception) as info:

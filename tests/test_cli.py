@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from cheblab import __version__, cli, cyclotomic, dihedral, sieve
+from cheblab import __version__, bounds, cli, cyclotomic, dihedral, sieve
 from cheblab.cli import (
     EXIT_FAILURE,
     EXIT_IO,
@@ -74,7 +74,10 @@ class TestOptionTable:
     def test_bench_command_lines_parse(self, name, seed, monkeypatch):
         # bench/ may not change with the CLI, so its argvs must stay valid
         monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
-        workload = importlib.import_module("run").build_workload(name, seed)
+        run = importlib.import_module("run")
+        # a template the CLI drops would fail every bench invocation
+        assert set(run.VARIANTS) <= set(bounds.VARIANTS)
+        workload = run.build_workload(name, seed)
         argvs = workload.setup_argvs + workload.pass_argvs
         assert argvs
         for argv in argvs:
@@ -465,39 +468,20 @@ class TestFalsifyCommand:
         _, _, summary = parse_csv(out)
         assert summary["verdict"] == "BOUNDED"
 
-    def test_fg_on_built_family_is_usage_error(self, capsys):
-        rc, _, err = run(capsys, "falsify", "--family", "cyclotomic",
-                         "--variant", "FG", "--r-min", "8", "--r-max", "10")
-        assert rc == EXIT_USAGE
-        assert "FG" in err
-
-    def test_fg_stops_the_walk_at_the_first_member(self, capsys,
-                                                   monkeypatch):
-        # r = 8 has T < 2^21, so its member needs the first segment only
+    @pytest.mark.parametrize("family", bounds.FAMILIES)
+    def test_fg_is_refused_before_any_sample(self, family, capsys,
+                                             monkeypatch):
         calls = []
-        sieve_range = sieve.sieve_range
-
-        def counted(lo, hi):
-            calls.append((lo, hi))
-            return sieve_range(lo, hi)
-
-        monkeypatch.setattr(sieve, "sieve_range", counted)
-        rc, out, err = run(capsys, "falsify", "--family", "cyclotomic",
-                           "--variant", "FG", "--r-min", "8", "--r-max", "24")
-        assert rc == EXIT_USAGE and out == ""
-        assert err == ("error: FG applies to cyclotomic samples with a "
-                       "single residue class\n")
-        assert calls == [(0, 2 * sieve.SEGMENT_ODDS)]
-
-    def test_fg_on_dihedral_builds_no_sample(self, capsys, monkeypatch):
-        calls = []
+        monkeypatch.setattr(sieve, "sieve_range",
+                            lambda *args: calls.append(args))
         monkeypatch.setattr(dihedral, "pi_D_dihedral",
                             lambda *args: calls.append(args))
-        rc, out, err = run(capsys, "falsify", "--family", "dihedral",
-                           "--variant", "FG", "--r-min", "4", "--r-max", "12")
-        assert rc == EXIT_USAGE and out == ""
-        assert err == ("error: FG applies to cyclotomic samples with a "
-                       "single residue class\n")
+        with pytest.raises(SystemExit) as info:
+            main(["falsify", "--family", family, "--variant", "FG",
+                  "--r-min", "8", "--r-max", "10"])
+        out, err = capsys.readouterr()
+        assert info.value.code == EXIT_USAGE and out == ""
+        assert "invalid choice: 'FG'" in err
         assert calls == []
 
 

@@ -560,6 +560,16 @@ class TestDiskCache:
         # payload is one bit per odd integer, LSB first, padded to bytes
         assert len(data) == 21 + (STEP // 2 + 7) // 8 + 4
 
+    def test_no_cache_dir_serializes_nothing(self, monkeypatch):
+        monkeypatch.delenv(sieve.CACHE_ENV, raising=False)
+        calls = []
+        monkeypatch.setattr(sieve, "_cache_read",
+                            lambda *args: calls.append(args))
+        monkeypatch.setattr(sieve, "_cache_write",
+                            lambda *args: calls.append(args))
+        sieve.sieve_range(0, 2 * sieve.SEGMENT_ODDS)
+        assert calls == []
+
     def test_first_format_is_a_miss(self, tmp_path, monkeypatch):
         monkeypatch.setenv(sieve.CACHE_ENV, str(tmp_path))
         clean = sieve.sieve_range(0, STEP)
