@@ -468,20 +468,35 @@ class TestFalsifyCommand:
         _, _, summary = parse_csv(out)
         assert summary["verdict"] == "BOUNDED"
 
-    @pytest.mark.parametrize("family", bounds.FAMILIES)
-    def test_fg_is_refused_before_any_sample(self, family, capsys,
-                                             monkeypatch):
-        calls = []
-        monkeypatch.setattr(sieve, "sieve_range",
-                            lambda *args: calls.append(args))
-        monkeypatch.setattr(dihedral, "pi_D_dihedral",
-                            lambda *args: calls.append(args))
+    @staticmethod
+    def refuse_fg(capsys, *args):
+        # argparse refuses --variant FG before any sample is built
         with pytest.raises(SystemExit) as info:
-            main(["falsify", "--family", family, "--variant", "FG",
-                  "--r-min", "8", "--r-max", "10"])
+            main(["falsify", "--variant", "FG", *args])
         out, err = capsys.readouterr()
         assert info.value.code == EXIT_USAGE and out == ""
         assert "invalid choice: 'FG'" in err
+
+    def test_fg_on_built_family_is_usage_error(self, capsys):
+        self.refuse_fg(capsys, "--family", "cyclotomic",
+                       "--r-min", "8", "--r-max", "10")
+
+    def test_fg_stops_the_walk_at_the_first_member(self, capsys,
+                                                   monkeypatch):
+        # the walk now stops before its first member: no segment is sieved
+        calls = []
+        monkeypatch.setattr(sieve, "sieve_range",
+                            lambda *args: calls.append(args))
+        self.refuse_fg(capsys, "--family", "cyclotomic",
+                       "--r-min", "8", "--r-max", "24")
+        assert calls == []
+
+    def test_fg_on_dihedral_builds_no_sample(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(dihedral, "pi_D_dihedral",
+                            lambda *args: calls.append(args))
+        self.refuse_fg(capsys, "--family", "dihedral",
+                       "--r-min", "4", "--r-max", "12")
         assert calls == []
 
 
