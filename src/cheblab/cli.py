@@ -22,14 +22,6 @@ EXIT_IO = 4
 SIEVE_GUARD = 1 << 40           # refuse sieve-check charged more integers
 MEMORY_BUDGET = 1 << 31         # refuse cyclotomic commands holding more bytes
 
-HEADERS = {
-    "dihedral": ("r", "n", "x", "pi_D", "li_x", "alpha_G", "p_min"),
-    "cyclotomic": ("r", "n", "T", "D_size", "density", "pi_D_at_T"),
-    "falsify": ("r", "n", "x", "error", "denominator", "implied_constant"),
-    "serre": ("r", "n", "p_min", "log_dK_lo", "log_dK_hi"),
-    "sieve-check": ("check", "status", "detail"),
-}
-
 
 def dihedral_sample(r: int) -> bounds.ChebotarevSample:
     """Measured sample for the dihedral member n = 2^r at x = n^2."""
@@ -82,24 +74,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def render_csv(headers: Sequence[str], rows: Sequence[dict],
-               summary: Optional[dict]) -> str:
-    lines = [",".join(headers)]
+def render_csv(rows: Sequence[dict], summary: Optional[dict]) -> str:
+    # the columns are the keys of the first row: rows are never empty,
+    # and every row has the same keys in the same order
+    lines = [",".join(rows[0])]
     for row in rows:
-        lines.append(",".join(_fmt(row[h]) for h in headers))
+        lines.append(",".join(map(_fmt, row.values())))
     for key, value in (summary or {}).items():
         lines.append(f"# {key}={_fmt(value)}")
     return "\n".join(lines) + "\n"
 
 
-def render_json(command: str, headers: Sequence[str], rows: Sequence[dict],
+def render_json(command: str, rows: Sequence[dict],
                 summary: Optional[dict]) -> str:
     import json                 # only here: start-up stays without it
 
-    doc = {
-        "command": command,
-        "rows": [{h: row[h] for h in headers} for row in rows],
-    }
+    doc = {"command": command, "rows": rows}
     if summary is not None:
         doc["summary"] = summary
     return json.dumps(doc, indent=2) + "\n"
@@ -107,11 +97,10 @@ def render_json(command: str, headers: Sequence[str], rows: Sequence[dict],
 
 def _emit(args: argparse.Namespace, rows: Sequence[dict],
           summary: Optional[dict] = None) -> int:
-    headers = HEADERS[args.command]
     if args.format == "csv":
-        text = render_csv(headers, rows, summary)
+        text = render_csv(rows, summary)
     else:
-        text = render_json(args.command, headers, rows, summary)
+        text = render_json(args.command, rows, summary)
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8", newline="") as fh:
@@ -318,37 +307,38 @@ def build_parser() -> argparse.ArgumentParser:
     scan = argparse.ArgumentParser(add_help=False)
     g = scan.add_argument_group("scan options")
     g.add_argument("--r-min", type=int, default=2,
-                   help="smallest r, with n = 2^r (default 2)")
+                   help="smallest r, with n = 2^r (default %(default)s)")
     g.add_argument("--r-max", type=int, default=8,
-                   help="largest r (default 8)")
+                   help="largest r (default %(default)s)")
     cyclo = argparse.ArgumentParser(add_help=False)
     g = cyclo.add_argument_group("cyclotomic family options")
     g.add_argument("--alpha", type=float, default=0.5,
                    help="threshold exponent in T = n*log(n)^alpha, "
-                        "0 < alpha < 1 (default 0.5)")
+                        "0 < alpha < 1 (default %(default)s)")
     template = argparse.ArgumentParser(add_help=False)
     g = template.add_argument_group("bound template options")
     g.add_argument("--range-alpha", type=float, default=1.0,
                    help="range restriction x > n*log(n)^range_alpha "
-                        "(default 1.0)")
+                        "(default %(default)s)")
     g.add_argument("--variant", choices=list(bounds.VARIANTS),
-                   default="Cprime", help="bound template (default Cprime)")
+                   default="Cprime",
+                   help="bound template (default %(default)s)")
     g.add_argument("--a", type=float, default=0.5,
-                   help="exponent on |D| (default 0.5)")
+                   help="exponent on |D| (default %(default)s)")
     g.add_argument("--b", type=float, default=-0.5,
-                   help="exponent on |G| or alpha(G) (default -0.5)")
+                   help="exponent on |G| or alpha(G) (default %(default)s)")
     g.add_argument("--epsilon", type=float, default=0.01,
-                   help="epsilon in x^(1/2+epsilon) (default 0.01)")
+                   help="epsilon in x^(1/2+epsilon) (default %(default)s)")
     report = argparse.ArgumentParser(add_help=False)
     g = report.add_argument_group("report options")
     g.add_argument("--output", default=None, metavar="PATH",
                    help="write the report here instead of stdout")
     g.add_argument("--format", choices=("csv", "json"), default="csv",
-                   help="report format (default csv)")
+                   help="report format (default %(default)s)")
     g.add_argument("--workers", type=int, default=1,
                    help="accepted for compatibility: samples are built "
                         "in one thread, and output is identical for any "
-                        "value (default 1)")
+                        "value (default %(default)s)")
 
     # no abbreviations: cyclotomic --a would otherwise set --alpha
     sub = parser.add_subparsers(dest="command", required=True,
@@ -377,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "at 2, 10, 100 and 1000 (default 10^6)")
     p_check.add_argument("--q", type=int, default=12,
                          help="modulus for the progression partition "
-                              "check (default 12)")
+                              "check (default %(default)s)")
     return parser
 
 
@@ -423,7 +413,7 @@ def _resource_problem(args: argparse.Namespace) -> Optional[str]:
     if args.command == "sieve-check":
         # one walk of the segments below limit, rounded up to whole
         # segments; q is charged for factoring it by trial division
-        q, step = args.q, 2 * sieve.SEGMENT_ODDS
+        q, step = args.q, sieve.SEGMENT_WIDTH
         charge = q + -(-args.limit // step) * step
         if charge > SIEVE_GUARD:
             return (f"--limit {args.limit} --q {args.q} is charged "

@@ -259,6 +259,6 @@ def peak_bytes(n: int, alpha: float) -> int:
     bound at its largest n covers every member.
     """
     _checked([n], alpha)
-    step = 2 * sieve.SEGMENT_ODDS
+    step = sieve.SEGMENT_WIDTH
     segments = math.ceil(_threshold(n, alpha) / step)  # exact: n, step 2^k
     return n + n // 4 + 4 * (segments * step // 16) + 3 * sieve.SEGMENT_ODDS

@@ -5,7 +5,7 @@ query layer.  sieve_range fills one byte per odd integer of [lo, hi)
 from a wheel for 3..13, strikes the multiples of the other base primes
 below sqrt(hi) with bytearray slices, and packs the bytes to bits.
 Every reader walks whole aligned segments
-[k * 2 * SEGMENT_ODDS, (k + 1) * 2 * SEGMENT_ODDS), and only those are
+[k * SEGMENT_WIDTH, (k + 1) * SEGMENT_WIDTH), and only those are
 cached on disk, so the cache keys do not depend on x or on which reader
 asked.  Cache files end in a CRC-32 of header and payload, so a damaged
 file is recomputed rather than read; _cache_read and _cache_write serve
@@ -17,8 +17,10 @@ The flags have one form in memory, an int whose bit i is set iff
 (lo | 1) + 2i is prime: sieve_range returns it, odd_rows yields it one
 segment (a row of SEGMENT_ODDS bits) at a time, prime_count, sieve-check
 and the cyclotomic family are popcounts of rows cut below x by cut, tile
-spreads a residue class across a row, and flag bytes exist only in cache
-files and inside prime_chunks, which lists the primes of a range.
+spreads a residue class across a row.  Flag bytes exist only in cache
+files, inside _packed, which joins a segment's flag bytes before
+sieve_range builds the int from them, and inside prime_chunks, which
+lists the primes of a range.
 All of it is pure Python: nothing imports numpy.
 """
 
@@ -35,9 +37,10 @@ import zlib
 from typing import Iterator, Optional
 
 SEGMENT_ODDS = 1 << 20          # odd entries per segment: cache-resident inner loop
-_STEP = 2 * SEGMENT_ODDS        # integers per aligned segment
+SEGMENT_WIDTH = 2 * SEGMENT_ODDS    # integers per aligned segment
 MAX_SEGMENTS_PER_RANGE = 256    # cap on materialized ranges; stream wider ones
-MAX_LIMIT = 1 << 63
+# the base primes of a range below MAX_LIMIT lie below 2^22: about 3 * 10^5
+MAX_LIMIT = 1 << 44
 CACHE_ENV = "CHEB_CACHE_DIR"
 _CACHE_MAGIC = b"CHEB2"
 
@@ -184,29 +187,20 @@ def _segment_file(lo: int, hi: int) -> tuple[str, bytes]:
     return f"sieve-{lo}-{hi}.cheb2", header
 
 
-def _cache_load(lo: int, hi: int) -> Optional[int]:
-    flags = _cache_read(*_segment_file(lo, hi), (_odds_in(lo, hi) + 7) // 8)
-    return None if flags is None else int.from_bytes(flags, "little")
-
-
-def _cache_store(lo: int, hi: int, flags: int) -> None:
-    _cache_write(*_segment_file(lo, hi),
-                 flags.to_bytes((_odds_in(lo, hi) + 7) // 8, "little"))
-
-
 def _check_range(lo: int, hi: int) -> None:
     if not (isinstance(lo, int) and isinstance(hi, int)):
         raise TypeError("lo and hi must be integers")
     if lo < 0 or hi < lo:
         raise ValueError(f"need 0 <= lo <= hi, got [{lo}, {hi})")
     if hi > MAX_LIMIT:
-        raise OverflowError(f"hi={hi} exceeds the 2**63 sieve limit")
+        raise OverflowError(
+            f"hi={hi} exceeds the 2**{MAX_LIMIT.bit_length() - 1} sieve limit")
 
 
 def sieve_range(lo: int, hi: int) -> int:
     """Sieve [lo, hi) in one mask and return its flags as an int: bit i is
     set iff (lo | 1) + 2i is prime, so the uncut row k of odd_rows is
-    sieve_range(k * 2 * SEGMENT_ODDS, (k + 1) * 2 * SEGMENT_ODDS).
+    sieve_range(k * SEGMENT_WIDTH, (k + 1) * SEGMENT_WIDTH).
 
     When CHEB_CACHE_DIR is set and [lo, hi) is exactly one aligned
     segment, valid cached flags are reused and fresh ones stored; any
@@ -220,24 +214,27 @@ def sieve_range(lo: int, hi: int) -> int:
         )
 
     # without a cache dir no segment's name, header or payload is built
-    cacheable = (lo % _STEP == 0 and hi - lo == _STEP
+    cacheable = (lo % SEGMENT_WIDTH == 0 and hi - lo == SEGMENT_WIDTH
                  and os.environ.get(CACHE_ENV))
-    cached = _cache_load(lo, hi) if cacheable else None
-    if cached is not None:
-        return cached
+    if cacheable:
+        name, header = _segment_file(lo, hi)
+        flags = _cache_read(name, header, SEGMENT_ODDS // 8)
+        if flags is not None:
+            return int.from_bytes(flags, "little")
 
     # the row is freed before the int is built, which reads bytes in place
-    flags = int.from_bytes(_packed(_odd_bytes(lo, hi)), "little")
+    flags = _packed(_odd_bytes(lo, hi))
     if cacheable:
-        _cache_store(lo, hi, flags)
-    return flags
+        _cache_write(name, header, flags)
+    return int.from_bytes(flags, "little")
 
 
 def _check_count_limit(x: float) -> None:
     if not x >= 0:              # so that nan fails too
         raise ValueError("x must be nonnegative")
     if x > MAX_LIMIT:
-        raise OverflowError(f"x={x} exceeds the 2**63 sieve limit")
+        raise OverflowError(
+            f"x={x} exceeds the 2**{MAX_LIMIT.bit_length() - 1} sieve limit")
 
 
 def cut(row: int, k: int, x: float) -> int:
@@ -254,8 +251,8 @@ def odd_rows(x: float) -> Iterator[int]:
     by cut(row, k, x).  x is checked here, not on the first next().
     """
     _check_count_limit(x)
-    return (cut(sieve_range(lo, lo + _STEP), lo // _STEP, x)
-            for lo in range(0, math.ceil(x) - 1, _STEP))
+    return (cut(sieve_range(lo, lo + SEGMENT_WIDTH), lo // SEGMENT_WIDTH, x)
+            for lo in range(0, math.ceil(x) - 1, SEGMENT_WIDTH))
 
 
 def tile(bits: int, period: int) -> int:
@@ -283,12 +280,13 @@ def prime_chunks(lo: int, hi: int) -> Iterator[list[int]]:
         yield [2]
     # the segment at `at` holds an odd integer of [lo, hi) iff at + 1 < hi,
     # and lo | 1, the first odd integer at or above lo, lies in lo's segment
-    for at in range(lo - lo % _STEP if lo | 1 < hi else hi, hi - 1, _STEP):
-        flags = sieve_range(at, at + _STEP).to_bytes(SEGMENT_ODDS // 8, "little")
+    step = SEGMENT_WIDTH
+    for at in range(lo - lo % step if lo | 1 < hi else hi, hi - 1, step):
+        flags = sieve_range(at, at + step).to_bytes(SEGMENT_ODDS // 8, "little")
         row = bytearray(SEGMENT_ODDS)
         for k, table in enumerate(tables):
             row[k::8] = flags.translate(table)
-        odds = list(itertools.compress(range(at + 1, at + _STEP, 2), row))
+        odds = list(itertools.compress(range(at + 1, at + step, 2), row))
         odds = odds[bisect.bisect_left(odds, lo):bisect.bisect_left(odds, hi)]
         if odds:
             yield odds

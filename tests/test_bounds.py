@@ -459,7 +459,7 @@ class TestNanFailsRangeChecks:
         (lambda x: dihedral.pi_D_dihedral(4, x), math.inf,
          dihedral.ExactBoundExceeded, None),
         (sieve.prime_count, math.inf, OverflowError,
-         "x=inf exceeds the 2**63 sieve limit"),
+         "x=inf exceeds the 2**44 sieve limit"),
         (lambda x: bounds.BoundFamily("C", x), math.nan, ValueError,
          "a must be finite, got nan"),
         (lambda x: bounds.BoundFamily("C", x), math.inf, ValueError,

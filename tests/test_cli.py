@@ -8,6 +8,7 @@ import importlib
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -58,16 +59,38 @@ OPTIONS = {
 }
 
 
+def subcommands() -> dict:
+    """The parser of each command, by name."""
+    sub, = [a for a in cli.build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
 class TestOptionTable:
     def test_each_command_takes_only_its_options(self):
-        parser = cli.build_parser()
-        sub, = [a for a in parser._actions
-                if isinstance(a, argparse._SubParsersAction)]
         taken = {name: {s for a in command._actions for s in a.option_strings
                         if s not in ("-h", "--help")}
-                 for name, command in sub.choices.items()}
+                 for name, command in subcommands().items()}
         assert taken == OPTIONS
         assert sum(map(len, taken.values())) == 33
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_help_names_the_real_defaults(self, command, monkeypatch):
+        # the help as printed at 80 columns, its lines rejoined: each
+        # "(default X)" belongs to the last option named before it
+        monkeypatch.setenv("COLUMNS", "80")
+        parser = subcommands()[command]
+        pieces = " ".join(parser.format_help().split()).split(" (default ")
+        named = {re.findall(r"--[a-z][a-z-]*", before)[-1]:
+                 after.split(")", 1)[0]
+                 for before, after in zip(pieces, pieces[1:])}
+        defaults = {a.option_strings[0]: str(a.default)
+                    for a in parser._actions if "(default" in (a.help or "")}
+        assert set(named) == set(defaults)
+        # the help of --limit writes 10 ** 6 as 10^6
+        assert named.pop("--limit", "10^6") == "10^6"
+        defaults.pop("--limit", None)
+        assert named == defaults
 
     @pytest.mark.parametrize("seed", [0, 7])
     @pytest.mark.parametrize("name", ["paper", "replay-cached"])
@@ -300,7 +323,7 @@ class TestResourceGuard:
         # the charge as it was written with fractions.Fraction
         from fractions import Fraction
 
-        step = 2 * sieve.SEGMENT_ODDS
+        step = sieve.SEGMENT_WIDTH
         for r in range(2, 41):
             n = 1 << r
             segments = math.ceil(n * Fraction(math.log(n) ** alpha) / step)
@@ -335,7 +358,7 @@ class TestResourceGuard:
         monkeypatch.setattr(sieve, "sieve_range", counted)
         rc, _, _ = run(capsys, *argv)
         assert rc == EXIT_OK
-        step = 2 * sieve.SEGMENT_ODDS
+        step = sieve.SEGMENT_WIDTH
         T = (1 << 22) * math.log(1 << 22) ** 0.5
         assert calls == [(lo, lo + step)
                          for lo in range(0, math.ceil(T), step)]
@@ -642,7 +665,7 @@ class TestSieveCheckCommand:
         rc, _, _ = run(capsys, "sieve-check", "--limit", "5000000",
                        "--q", "30")
         assert rc == EXIT_OK
-        step = 2 * sieve.SEGMENT_ODDS
+        step = sieve.SEGMENT_WIDTH
         aligned = [(lo, hi) for lo, hi in calls
                    if lo % step == 0 and hi - lo == step]
         assert aligned == [(0, step), (step, 2 * step), (2 * step, 3 * step)]
@@ -694,7 +717,7 @@ class TestSieveCheckCommand:
 
         def faulty(lo, hi):
             row = strike(lo, hi)
-            if lo != 0 and hi - lo < 2 * sieve.SEGMENT_ODDS:
+            if lo != 0 and hi - lo < sieve.SEGMENT_WIDTH:
                 i = next(i for i in range(3) if ((lo | 1) + 2 * i) % 3 == 0)
                 row[i] = 1 << i % 8
             return row
@@ -711,7 +734,7 @@ class TestSieveCheckCommand:
         monkeypatch.setenv(sieve.CACHE_ENV, str(tmp_path))
         rc, _, _ = run(capsys, "sieve-check", "--limit", "20000")
         assert rc == EXIT_OK
-        step = 2 * sieve.SEGMENT_ODDS
+        step = sieve.SEGMENT_WIDTH
         assert [p.name for p in tmp_path.iterdir()] == [
             f"sieve-0-{step}.cheb2"]
 
@@ -834,6 +857,34 @@ class TestFrozenBenchStdout:
         assert any(tmp_path.iterdir())
 
 
+# One run of each command in JSON, with the sha256 of each stdout as
+# cheblab 0.23.0 printed it: the JSON renderer takes its keys from the rows.
+JSON_STDOUT_SHA256 = [
+    (("dihedral", "--r-min", "2", "--r-max", "12"),
+     "06d6c2734ef54d4e2633f69468355deba2684ad8b71e24fc504e73a6ce311acf"),
+    (("cyclotomic", "--r-min", "2", "--r-max", "20"),
+     "441bb2cc6f40bd37d9260991f22ffe0e087147bd7d76786fb68af116fb5e10ee"),
+    (("falsify", "--family", "dihedral", "--r-min", "4", "--r-max", "12"),
+     "9b786fa6513f03c529eaa8c3e7169ab048cf640bf6fc493b1438a23176a807a8"),
+    (("falsify", "--family", "cyclotomic", "--r-min", "8", "--r-max", "20"),
+     "7de23367c00aed6b13977a91e3f87caa8519f72eb721b36fbb770ae34b849333"),
+    (("serre", "--r-min", "2", "--r-max", "12"),
+     "37135a90d373e0f57e06dc313732547b1bd85a651353212769911126ec53e9bf"),
+    (("sieve-check", "--limit", "100000"),
+     "90cbd257ac7dac20bf455d3f4830d3acdb236e936d10663a62694e0667bc74f8"),
+]
+
+
+class TestFrozenJsonStdout:
+    @pytest.mark.parametrize("argv, digest", JSON_STDOUT_SHA256,
+                             ids=["dihedral", "cyclotomic", "falsify-dihedral",
+                                  "falsify-cyclotomic", "serre", "sieve-check"])
+    def test_stdout_digest(self, argv, digest, capsys):
+        rc, out, _ = run(capsys, *argv, "--format", "json")
+        assert rc == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestCountsReplay:
     """The cyclotomic commands read each member's |D| and pi_D(T) from its
     counts record under CHEB_CACHE_DIR, and walk only the members without
@@ -862,7 +913,7 @@ class TestCountsReplay:
         argv, digest = BENCH_STDOUT_SHA256[2]
         assert argv == ("cyclotomic", "--r-min", "2", "--r-max", "24")
         rc, out, _ = run(capsys, *argv)
-        assert (rc, calls) == (EXIT_OK, [(0, 2 * sieve.SEGMENT_ODDS)])
+        assert (rc, calls) == (EXIT_OK, [(0, sieve.SEGMENT_WIDTH)])
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

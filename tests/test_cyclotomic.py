@@ -85,7 +85,7 @@ class TestBuildD:
         cyclotomic.build_D(1 << 12, 0.5)
         again = cyclotomic.build_D(1 << 12, 0.5)
         cyclotomic.build_D(1 << 10, 0.5)
-        sieve.prime_count(2 * sieve.SEGMENT_ODDS)
+        sieve.prime_count(sieve.SEGMENT_WIDTH)
         assert {f.name: f.stat().st_mtime_ns
                 for f in tmp_path.iterdir()} == stamps
         assert again.D == first.D
@@ -152,7 +152,7 @@ class TestMeasureFamily:
         # and 1.5 MiB for one segment's workspace and the fold's
         # temporaries: D takes the place of the rows it is folded from.
         n = 1 << 24
-        segments = math.ceil(n * math.log(n) ** 0.5 / (2 * sieve.SEGMENT_ODDS))
+        segments = math.ceil(n * math.log(n) ** 0.5 / sieve.SEGMENT_WIDTH)
         tracemalloc.start()
         try:
             counts = list(map(operator.itemgetter(1),
@@ -173,7 +173,7 @@ class TestMeasureFamily:
         # 1.5 MiB for one segment's workspace.
         n = 1 << 24
         m = n // sieve.SEGMENT_ODDS
-        K = math.ceil(n * math.log(n) ** 0.5 / (2 * sieve.SEGMENT_ODDS)) - 1
+        K = math.ceil(n * math.log(n) ** 0.5 / sieve.SEGMENT_WIDTH) - 1
         tracemalloc.start()
         try:
             counts = list(map(operator.itemgetter(1),
@@ -359,7 +359,7 @@ def hit_by_sieved_primes(n: int, T: float) -> np.ndarray:
     """The classes k mod n hit by an odd prime below T, as n bools, from
     oracles.odd_primes one aligned segment at a time."""
     hit = np.zeros(n, dtype=bool)
-    top, step = math.ceil(T), 2 * sieve.SEGMENT_ODDS
+    top, step = math.ceil(T), sieve.SEGMENT_WIDTH
     for lo in range(0, top, step):
         hi = min(lo + step, top)
         primes = oracles.odd_primes(sieve.sieve_range(lo, hi), lo, hi)
@@ -380,7 +380,7 @@ class TestEarlyFold:
     def test_matches_sieved_and_trial_primes(self, n, alpha, rows_per_class):
         inst, pi_D = next(cyclotomic.measure_family([n], alpha))
         m = n // sieve.SEGMENT_ODDS
-        segments = math.ceil(inst.T / (2 * sieve.SEGMENT_ODDS))
+        segments = math.ceil(inst.T / sieve.SEGMENT_WIDTH)
         assert segments // m == rows_per_class
         hit = hit_by_sieved_primes(n, inst.T)
         np.testing.assert_array_equal(oracles.mask(inst), ~hit)
@@ -554,7 +554,7 @@ class TestCountsRecords:
         list(cyclotomic.measure_family(self.NS, 0.5))
         cyclotomic.pi_D_cyclotomic(cyclotomic.build_D(1 << 9, 0.5), 1e4)
         assert [p.name for p in tmp_path.iterdir()] == [
-            f"sieve-0-{2 * sieve.SEGMENT_ODDS}.cheb2"]
+            f"sieve-0-{sieve.SEGMENT_WIDTH}.cheb2"]
 
     @pytest.mark.parametrize("ns, alpha, message", [
         ([16, 8], 0.5, "strictly increase"),

@@ -22,7 +22,7 @@ from cheblab import cli, cyclotomic, sieve
 import oracles
 
 
-STEP = 2 * sieve.SEGMENT_ODDS     # integers per aligned segment
+STEP = sieve.SEGMENT_WIDTH
 
 
 def sieved_in_pieces(lo: int, hi: int, piece_odds: int) -> bytes:
@@ -91,7 +91,7 @@ class TestSieveRange:
         # 1.27 bytes per odd integer, not a row and a copy of it
         tracemalloc.start()
         try:
-            sieve.sieve_range(0, 2 * sieve.SEGMENT_ODDS)
+            sieve.sieve_range(0, sieve.SEGMENT_WIDTH)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -113,8 +113,23 @@ class TestSieveRange:
             sieve.sieve_range(0, (1 << 63) + 2)
         with pytest.raises(OverflowError):
             # wider than the materialization cap; must be streamed instead
-            sieve.sieve_range(0, 2 * sieve.SEGMENT_ODDS
+            sieve.sieve_range(0, sieve.SEGMENT_WIDTH
                               * sieve.MAX_SEGMENTS_PER_RANGE + 4)
+
+    def test_limit(self):
+        # 2^44 - 17 is the one prime of the window; its base primes are
+        # those below 2^22, the widest table the sieve admits
+        top = sieve.MAX_LIMIT
+        assert top == 1 << 44
+        want = [oracles.trial_is_prime(m) for m in range(top - 23, top, 2)]
+        assert odd_flags(sieve.sieve_range(top - 24, top), 12) == want
+        assert sum(want) == 1
+        with pytest.raises(OverflowError,
+                           match=r"^hi=17592186044417 exceeds the 2\*\*44 "):
+            sieve.sieve_range(top - 24, top + 1)
+        with pytest.raises(OverflowError,
+                           match=r"^x=17592186044417 exceeds the 2\*\*44 "):
+            sieve.prime_count(top + 1)
 
     def test_is_prime_out_of_range(self):
         bits = sieve.sieve_range(10, 20)
@@ -567,7 +582,7 @@ class TestDiskCache:
                             lambda *args: calls.append(args))
         monkeypatch.setattr(sieve, "_cache_write",
                             lambda *args: calls.append(args))
-        sieve.sieve_range(0, 2 * sieve.SEGMENT_ODDS)
+        sieve.sieve_range(0, sieve.SEGMENT_WIDTH)
         assert calls == []
 
     def test_first_format_is_a_miss(self, tmp_path, monkeypatch):
@@ -611,10 +626,11 @@ class TestDiskCache:
             both.wait()
             replace(src, dst)
 
-        flags = sieve.sieve_range(0, 1000)
+        payload = oracles.flag_bytes(sieve.sieve_range(0, 1000), 0, 1000)
         monkeypatch.setattr(sieve.os, "replace", recorded)
-        threads = [threading.Thread(target=sieve._cache_store,
-                                    args=(0, 1000, flags))
+        threads = [threading.Thread(target=sieve._cache_write,
+                                    args=(*sieve._segment_file(0, 1000),
+                                          payload))
                    for _ in range(2)]
         for t in threads:
             t.start()
