@@ -161,12 +161,18 @@ def implied_constant(f: BoundFamily, s: ChebotarevSample) -> float:
     return constant
 
 
+def range_start(n: int, gamma: float) -> float:
+    """n * log(n)^gamma: where the template range x > n * log(n)^gamma
+    starts, and at gamma = alpha the threshold T of the cyclotomic member n."""
+    return n * math.log(n) ** gamma
+
+
 def range_check(s: ChebotarevSample, range_alpha: float) -> bool:
     """Whether x clears the range restriction x > n * log(n)^range_alpha."""
     if not range_alpha >= 0:    # so that nan fails too
         raise ValueError("range_alpha must be nonnegative")
     try:
-        return s.x > s.n * math.log(s.n) ** range_alpha
+        return s.x > range_start(s.n, range_alpha)
     except OverflowError:       # the range starts past every float
         return False
 

@@ -164,10 +164,7 @@ def cmd_falsify(args: argparse.Namespace) -> int:
     ]
     summary = {
         "family": args.family,
-        "variant": args.variant,
-        "a": args.a,
-        "b": args.b,
-        "epsilon": args.epsilon,
+        **fam._asdict(),
         "range_alpha": args.range_alpha,
         "slope_threshold": bounds.SLOPE_THRESHOLD,
         "ratio_threshold": bounds.RATIO_THRESHOLD,
@@ -198,12 +195,7 @@ def cmd_serre(args: argparse.Namespace) -> int:
             "r": n.bit_length() - 1, "n": n, "p_min": p_min,
             "log_dK_lo": lo, "log_dK_hi": hi,
         })
-    summary = {
-        "exponent_e": fit.exponent_e,
-        "constant_c": fit.constant_c,
-        "low_confidence": fit.low_confidence,
-    }
-    return _emit(args, rows, summary)
+    return _emit(args, rows, fit._asdict())
 
 
 def _trial_prime_count(x: int) -> int:

@@ -2,13 +2,15 @@
 
 For q = 2n = 2^(r+1) the Galois group is (Z/qZ)* of order n, the Frobenius
 of an odd prime p is p mod q, and D collects the odd residues whose
-progression contains no prime below T = n * log(n)^alpha.  By construction
+progression contains no prime below T = n * log(n)^alpha, the start of
+the template range at gamma = alpha, read from bounds.range_start so that
+the walk and the counts records use the same bits of T.  By construction
 pi_D(T) = 0 while |D| >= n - pi(T), so |D| ~ n.
 
 The odd integer 2k + 1 lies in the class with index k mod n, and row k
 of sieve.odd_rows, the flags of aligned segment k as one int of 2^20
-bits, holds the indices [k * 2^20, (k + 1) * 2^20).  D is kept as rows
-too: from n = 2^20 on, row t of D holds the classes [t * 2^20,
+bits, holds the indices [k * 2^20, (k + 1) * 2^20).  D is kept in the
+same one form: from n = 2^20 on, row t of D holds the classes [t * 2^20,
 (t + 1) * 2^20), and below it D is one row of n bits.  A family
 (measure_family, n strictly increasing) is one ordered pass over the
 rows below its largest T, each held as it comes.  At a member's T the
@@ -43,49 +45,30 @@ import operator
 import struct
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from . import sieve
+from . import bounds, sieve
 from .dihedral import _validate_n
 
 _ROW_BITS = sieve.SEGMENT_ODDS  # odd flags per aligned segment: one row
-_ROW_BYTES = _ROW_BITS // 8
 _COUNTS_MAGIC = b"CHEBC"
 _COUNTS = struct.Struct("<QQ")  # a counts record's payload: |D| and pi_D(T)
 
 
 class CyclotomicInstance(NamedTuple):
-    """One built family member: modulus, threshold and the residue set D.
+    """One built family member: |G|, threshold and the residue set D.
 
-    D is kept as rows of 2^20 bits, or one row of n bits below n = 2^20:
-    bit i of rows[t] is set iff the odd residue 2(t * 2^20 + i) + 1 lies
-    in D, so membership is an index and a shift.  Equality is by value,
-    the rows included.
+    D is kept in one form, as rows of 2^20 bits, or one row of n bits
+    below n = 2^20: bit i of rows[t] is set iff the odd residue
+    2(t * 2^20 + i) + 1 mod 2n lies in D.  Equality is by value, the
+    rows included.
     """
 
     n: int                      # |G| = phi(2n) = 2^r
-    q: int                      # modulus 2n = 2^(r+1)
     T: float                    # n * log(n)^alpha
     rows: tuple[int, ...]       # D
 
     @property
-    def D(self) -> int:
-        """D as one int of n bits: bit k is set iff 2k + 1 lies in D."""
-        if len(self.rows) == 1:
-            return self.rows[0]
-        return int.from_bytes(b"".join(
-            row.to_bytes(_ROW_BYTES, "little") for row in self.rows), "little")
-
-    @property
     def D_size(self) -> int:
         return sum(map(int.bit_count, self.rows))
-
-    def contains(self, d: int) -> bool:
-        """Membership of the residue d in D."""
-        if not 0 <= d < self.q:
-            raise ValueError(f"residue {d} outside [0, {self.q})")
-        if d % 2 == 0:
-            return False
-        k = d >> 1
-        return bool(self.rows[k // _ROW_BITS] >> (k % _ROW_BITS) & 1)
 
 
 def measure_family(
@@ -113,12 +96,6 @@ def _checked(ns: Iterable[int], alpha: float) -> list[int]:
     return ns
 
 
-def _threshold(n: int, alpha: float) -> float:
-    """T = n * log(n)^alpha: the one expression for a member's threshold,
-    so that a counts record is looked up under the bits the walk uses."""
-    return n * math.log(n) ** alpha
-
-
 def measure_counts(
     ns: Iterable[int], alpha: float,
 ) -> Iterator[tuple[int, float, int, int]]:
@@ -136,7 +113,7 @@ def _replay(ns: list[int],
             alpha: float) -> Iterator[tuple[int, float, int, int]]:
     """The members of measure_counts, over validated, increasing ns.  A
     walked member reaches this frame only as its counts, through map."""
-    Ts = [_threshold(n, alpha) for n in ns]
+    Ts = [bounds.range_start(n, alpha) for n in ns]
     found = [_load_counts(n, T) for n, T in zip(ns, Ts)]
     missing = [n for n, counts in zip(ns, found) if counts is None]
     walked = map(_stored_counts, _walk(missing, alpha) if missing else ())
@@ -175,7 +152,7 @@ def _walk(ns: list[int], alpha: float) -> Iterator[tuple[CyclotomicInstance, int
     """
     if not ns:
         return
-    Ts = [_threshold(n, alpha) for n in ns]
+    Ts = [bounds.range_start(n, alpha) for n in ns]
     pending = [(n, T, math.ceil(T) // 2) for n, T in zip(ns, Ts)]  # odds below T
     m, last = ns[-1] // _ROW_BITS, pending[-1][2]
     rows: list[int] = []                        # the rows before row k
@@ -190,7 +167,7 @@ def _walk(ns: list[int], alpha: float) -> Iterator[tuple[CyclotomicInstance, int
                               or _fold_class(rows, t, n, drop=not pending)
                               for t in range(max(n // _ROW_BITS, 1))])
             rows.pop()
-            yield CyclotomicInstance(n=n, q=2 * n, T=T, rows=D), sum(pi_D)
+            yield CyclotomicInstance(n=n, T=T, rows=D), sum(pi_D)
             del D               # the consumer holds the member now, or not at all
         if not pending:
             return
@@ -236,7 +213,7 @@ def build_D(n: int, alpha: float) -> CyclotomicInstance:
 
 
 def pi_D_cyclotomic(inst: CyclotomicInstance, x: float) -> int:
-    """Number of odd primes p < x with p mod q in D; 2 is excluded.
+    """Number of odd primes p < x with p mod 2n in D; 2 is excluded.
 
     The popcounts of each row k of the flags below x AND D's row
     k mod (n / 2^20), or AND D tiled across 2^20 bits below n = 2^20.
@@ -260,5 +237,5 @@ def peak_bytes(n: int, alpha: float) -> int:
     """
     _checked([n], alpha)
     step = sieve.SEGMENT_WIDTH
-    segments = math.ceil(_threshold(n, alpha) / step)  # exact: n, step 2^k
+    segments = math.ceil(bounds.range_start(n, alpha) / step)  # exact: n, step 2^k
     return n + n // 4 + 4 * (segments * step // 16) + 3 * sieve.SEGMENT_ODDS

@@ -96,9 +96,11 @@ def odd_primes(bits: int, lo: int, hi: int) -> np.ndarray:
 
 
 def mask(inst: cyclotomic.CyclotomicInstance) -> np.ndarray:
-    """D as n bools, indexed by (d - 1) / 2."""
-    packed = np.frombuffer(inst.D.to_bytes(-(-inst.n // 8), "little"),
-                           dtype=np.uint8)
+    """D as n bools, indexed by (d - 1) / 2, unpacked from inst.rows."""
+    width = -(-min(inst.n, sieve.SEGMENT_ODDS) // 8)   # bytes per row
+    packed = np.frombuffer(
+        b"".join(row.to_bytes(width, "little") for row in inst.rows),
+        dtype=np.uint8)
     return np.unpackbits(packed, count=inst.n, bitorder="little").view(bool)
 
 

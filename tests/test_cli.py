@@ -9,6 +9,7 @@ import json
 import math
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -1166,3 +1167,43 @@ class TestEntryPoints:
     def test_version_matches_pyproject(self):
         text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
         assert f'\nversion = "{__version__}"\n' in text
+
+
+def readme_cli_examples() -> list:
+    """(argv, quoted) for each `cheblab ...` line of the sh block under
+    README's "## CLI", its backslash continuations joined.  quoted holds
+    the output lines that README shows below the command, up to the next
+    blank line, less their "# "; a "# ..." line elides and is skipped."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("\n```", 1)[0]
+    examples = []
+    for paragraph in block.replace("\\\n", " ").split("\n\n"):
+        lines = paragraph.splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith("cheblab "))
+        quoted = [line[2:] for line in lines[i + 1:]
+                  if not line.startswith("# ...")]
+        examples.append((shlex.split(lines[i])[1:], quoted))
+    return examples
+
+
+README_EXAMPLES = readme_cli_examples()
+
+
+class TestReadmeExamples:
+    """The CLI examples in README run as written."""
+
+    @pytest.mark.parametrize("argv, quoted", README_EXAMPLES,
+                             ids=[argv[0] for argv, _ in README_EXAMPLES])
+    def test_example_exits_0_and_prints_what_readme_quotes(self, argv, quoted,
+                                                          capsys):
+        rc, out, _ = run(capsys, *argv)
+        assert rc == EXIT_OK
+        assert [line for line in out.splitlines() if line in quoted] == quoted
+
+    def test_six_examples_and_the_dihedral_rows_quoted(self):
+        assert [argv[0] for argv, _ in README_EXAMPLES] == [
+            "dihedral", "cyclotomic", "falsify", "falsify", "serre",
+            "sieve-check"]
+        assert README_EXAMPLES[0][1] == ["r,n,x,pi_D,li_x,alpha_G,p_min",
+                                  "2,4,16,0,7.474552683593565,4,17"]

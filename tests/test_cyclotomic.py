@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cheblab import cyclotomic, sieve
+from cheblab import bounds, cyclotomic, sieve
 
 import oracles
 
@@ -26,15 +26,13 @@ def synthetic_instance(n: int, T: float) -> cyclotomic.CyclotomicInstance:
     For every valid build_D input T = n*log(n)^alpha >= 4, so the
     degenerate no-odd-prime-below-T case is reachable only synthetically.
     """
-    return cyclotomic.CyclotomicInstance(n=n, q=2 * n, T=T,
-                                         rows=((1 << n) - 1,))
+    return cyclotomic.CyclotomicInstance(n=n, T=T, rows=((1 << n) - 1,))
 
 
 class TestBuildD:
     def test_hand_enumerated_example(self):
         inst = cyclotomic.build_D(4, 0.5)
         assert inst.T == pytest.approx(4 * math.log(4) ** 0.5, rel=1e-15)
-        assert inst.q == 8
         # primes below T ~ 4.71 are {2, 3}; only 3 is odd, removing class 3
         assert oracles.residues(inst).tolist() == [1, 5, 7]
         assert inst.D_size == 3
@@ -45,14 +43,9 @@ class TestBuildD:
         assert oracles.residues(inst).tolist() == [1, 9, 13, 15]
 
     def test_membership_bitmap(self):
-        inst = cyclotomic.build_D(4, 0.5)
-        assert inst.contains(1) and inst.contains(5) and inst.contains(7)
-        assert not inst.contains(3)
-        assert not inst.contains(4)  # even residues never belong
-        with pytest.raises(ValueError):
-            inst.contains(8)
-        with pytest.raises(ValueError):
-            inst.contains(-1)
+        mask = oracles.mask(cyclotomic.build_D(4, 0.5))
+        assert mask[1 // 2] and mask[5 // 2] and mask[7 // 2]
+        assert not mask[3 // 2]
 
     def test_validation(self):
         for alpha in (0.0, 1.0, 1.2, -0.3):
@@ -67,9 +60,10 @@ class TestBuildD:
     def test_no_small_prime_lands_in_D(self, r, cyclotomic_instances):
         # independent rescan with trial-division primes
         inst = cyclotomic_instances[r]
+        mask = oracles.mask(inst)
         for p in oracles.trial_primes_below(inst.T):
             if p > 2:
-                assert not inst.contains(p % inst.q), p
+                assert not mask[p % (2 * inst.n) // 2], p
 
     def test_complement_bounded_by_prime_count(self, cyclotomic_instances):
         inst = cyclotomic_instances[16]
@@ -88,13 +82,13 @@ class TestBuildD:
         sieve.prime_count(sieve.SEGMENT_WIDTH)
         assert {f.name: f.stat().st_mtime_ns
                 for f in tmp_path.iterdir()} == stamps
-        assert again.D == first.D
+        assert again.rows == first.rows
 
     def test_every_residue_odd_and_in_range(self, cyclotomic_instances):
         for inst in cyclotomic_instances.values():
             residues = oracles.residues(inst)
             assert np.all(residues % 2 == 1)
-            assert np.all((residues >= 1) & (residues <= inst.q - 1))
+            assert np.all((residues >= 1) & (residues <= 2 * inst.n - 1))
 
 
 class TestMeasureFamily:
@@ -105,8 +99,8 @@ class TestMeasureFamily:
         members = cyclotomic.measure_family(ns, alpha)
         for n, (inst, pi_D) in zip(ns, members, strict=True):
             one = cyclotomic.build_D(n, alpha)
-            assert (inst.n, inst.q, inst.T) == (one.n, one.q, one.T)
-            assert inst.D == one.D
+            assert (inst.n, inst.T) == (one.n, one.T)
+            assert inst.rows == one.rows
             assert pi_D == cyclotomic.pi_D_cyclotomic(one, one.T)
 
     @pytest.mark.parametrize("ns", [[8, 8], [16, 8], [4, 32, 16], [4, 4, 8]])
@@ -201,18 +195,19 @@ class TestPiD:
             expected = sum(
                 1
                 for p in oracles.trial_primes_below(x)
-                if p > 2 and p % inst.q in residues
+                if p > 2 and p % (2 * inst.n) in residues
             )
             assert cyclotomic.pi_D_cyclotomic(inst, x) == expected
 
     def test_partition_with_complement(self, cyclotomic_instances):
         inst = cyclotomic_instances[3]
+        q, mask = 2 * inst.n, oracles.mask(inst)
         for x in (30.0, 1000.0):
             in_D = cyclotomic.pi_D_cyclotomic(inst, x)
             complement = sum(
-                oracles.ap_count_brute(x, inst.q, d)
-                for d in range(1, inst.q, 2)
-                if not inst.contains(d)
+                oracles.ap_count_brute(x, q, d)
+                for d in range(1, q, 2)
+                if not mask[d // 2]
             )
             two = 1 if x > 2 else 0
             assert in_D + complement + two == sieve.prime_count(x)
@@ -307,7 +302,7 @@ def wide() -> cyclotomic.CyclotomicInstance:
 def in_D_by_trial(inst: cyclotomic.CyclotomicInstance, d: int) -> bool:
     """d in D iff no number below T in the class of d is prime."""
     return not any(map(oracles.trial_is_prime,
-                       range(d, math.ceil(inst.T), inst.q)))
+                       range(d, math.ceil(inst.T), 2 * inst.n)))
 
 
 class TestMultiRowD:
@@ -315,11 +310,11 @@ class TestMultiRowD:
 
     def test_contains_across_the_row_boundary(self, wide):
         seam = sieve.SEGMENT_ODDS          # class index 2^20 opens row 1
-        found = set()
+        mask, found = oracles.mask(wide), set()
         for k in range(seam - 64, seam + 64):
             d = 2 * k + 1
             want = in_D_by_trial(wide, d)
-            assert wide.contains(d) == want, k
+            assert mask[d // 2] == want, k
             found.add((k >= seam, want))
         assert found == {(False, False), (False, True), (True, False), (True, True)}
 
@@ -327,21 +322,20 @@ class TestMultiRowD:
         top = math.ceil(wide.T)
         primes = oracles.odd_primes(sieve.sieve_range(0, top), 0, top)
         hit = np.zeros(wide.n, dtype=bool)
-        hit[primes % wide.q // 2] = True
+        hit[primes % (2 * wide.n) // 2] = True
         np.testing.assert_array_equal(oracles.mask(wide), ~hit)
         low, high = wide.rows
-        assert wide.D == low | high << sieve.SEGMENT_ODDS
         assert max(low, high).bit_length() <= sieve.SEGMENT_ODDS
         assert wide.D_size == wide.n - np.count_nonzero(hit)
 
     def test_pi_D_by_trial_division(self, wide):
         # Around x = 2q the flags pass from row 3 to row 4 and the classes
         # wrap from D's row 1 to its row 0.
-        lo, hi = 2 * wide.q - 5000, 2 * wide.q + 5000
+        lo, hi = 4 * wide.n - 5000, 4 * wide.n + 5000
         assert wide.T < lo
         expected = sum(1 for p in range(lo | 1, hi, 2)
                        if oracles.trial_is_prime(p)
-                       and in_D_by_trial(wide, p % wide.q))
+                       and in_D_by_trial(wide, p % (2 * wide.n)))
         assert expected > 0
         assert (cyclotomic.pi_D_cyclotomic(wide, hi)
                 - cyclotomic.pi_D_cyclotomic(wide, lo)) == expected
@@ -382,8 +376,8 @@ class TestEarlyFold:
         m = n // sieve.SEGMENT_ODDS
         segments = math.ceil(inst.T / sieve.SEGMENT_WIDTH)
         assert segments // m == rows_per_class
-        hit = hit_by_sieved_primes(n, inst.T)
-        np.testing.assert_array_equal(oracles.mask(inst), ~hit)
+        hit, mask = hit_by_sieved_primes(n, inst.T), oracles.mask(inst)
+        np.testing.assert_array_equal(mask, ~hit)
         assert inst.D_size == n - np.count_nonzero(hit)
         assert len(inst.rows) == m
         full = (1 << sieve.SEGMENT_ODDS) - 1
@@ -393,13 +387,13 @@ class TestEarlyFold:
         # the classes on each side of every seam of D's rows
         for t in range(m):
             for k in (t * sieve.SEGMENT_ODDS - 1, t * sieve.SEGMENT_ODDS):
-                d = (2 * k + 1) % inst.q
-                assert inst.contains(d) == in_D_by_trial(inst, d), (t, k)
+                d = (2 * k + 1) % (2 * n)
+                assert mask[d // 2] == in_D_by_trial(inst, d), (t, k)
         lo = math.ceil(inst.T) + 1
         hi = lo + 4000
         expected = sum(1 for p in range(lo | 1, hi, 2)
                        if oracles.trial_is_prime(p)
-                       and in_D_by_trial(inst, p % inst.q))
+                       and in_D_by_trial(inst, p % (2 * n)))
         assert (cyclotomic.pi_D_cyclotomic(inst, hi)
                 - cyclotomic.pi_D_cyclotomic(inst, lo)) == expected
 
@@ -407,8 +401,8 @@ class TestEarlyFold:
 class TestInstanceRecord:
     def test_fields_are_read_only(self):
         inst = cyclotomic.build_D(16, 0.5)
-        assert inst._fields == ("n", "q", "T", "rows")
-        for name in (*inst._fields, "D", "extra"):
+        assert inst._fields == ("n", "T", "rows")
+        for name in (*inst._fields, "D_size", "extra"):
             with pytest.raises(AttributeError):
                 setattr(inst, name, 0)
 
@@ -472,7 +466,7 @@ class TestCountsRecords:
 
     @staticmethod
     def record(path, n, alpha=0.5):
-        name, _ = cyclotomic._counts_file(n, cyclotomic._threshold(n, alpha))
+        name, _ = cyclotomic._counts_file(n, bounds.range_start(n, alpha))
         return path / name
 
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.99])
@@ -522,7 +516,7 @@ class TestCountsRecords:
         monkeypatch.setenv(sieve.CACHE_ENV, str(tmp_path))
         cold = list(cyclotomic.measure_counts(self.NS, 0.5))
         n, alpha = other
-        _, header = cyclotomic._counts_file(n, cyclotomic._threshold(n, alpha))
+        _, header = cyclotomic._counts_file(n, bounds.range_start(n, alpha))
         name = self.record(tmp_path, 1 << 10).name
         sieve._cache_write(name, header, (0).to_bytes(16, "little"))
         walks, _ = self.spy(monkeypatch)

@@ -604,7 +604,7 @@ class TestDiskCache:
         clean = cyclotomic.build_D(1 << 12, 0.5)
         # no prime below T is 1 mod 2^13, so marking 1 prime would drop
         # class 1 from D if the damaged file were read
-        assert clean.contains(1)
+        assert oracles.mask(clean)[1 // 2]
         path = tmp_path / f"sieve-0-{STEP}.cheb2"
         good = path.read_bytes()
         data = bytearray(good)
