@@ -279,15 +279,6 @@ def cmd_sieve_check(args: argparse.Namespace) -> int:
                     else EXIT_FAILURE)
 
 
-_COMMANDS = {
-    "dihedral": cmd_dihedral,
-    "cyclotomic": cmd_cyclotomic,
-    "falsify": cmd_falsify,
-    "serre": cmd_serre,
-    "sieve-check": cmd_sieve_check,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cheblab",
@@ -337,23 +328,26 @@ def build_parser() -> argparse.ArgumentParser:
                                 metavar="COMMAND")
     sub.add_parser("dihedral", parents=[scan, report], allow_abbrev=False,
                    help="per-r split counts, li, class counts, least "
-                        "split prime")
+                        "split prime").set_defaults(run=cmd_dihedral)
     sub.add_parser("cyclotomic", parents=[scan, cyclo, report],
                    allow_abbrev=False,
-                   help="per-r residue sets D, density and pi_D at T")
+                   help="per-r residue sets D, density and pi_D "
+                        "at T").set_defaults(run=cmd_cyclotomic)
     p_falsify = sub.add_parser("falsify", allow_abbrev=False,
                                parents=[scan, cyclo, template, report],
                                help="implied-constant scan with a "
                                     "divergence verdict")
+    p_falsify.set_defaults(run=cmd_falsify)
     p_falsify.add_argument("--family", choices=bounds.FAMILIES,
                            required=True, help="sample family to scan")
     sub.add_parser("serre", parents=[scan, report], allow_abbrev=False,
                    help="least split primes, power-law fit, discriminant "
-                        "bracket")
+                        "bracket").set_defaults(run=cmd_serre)
     p_check = sub.add_parser("sieve-check", parents=[report],
                              allow_abbrev=False,
                              help="self-check the sieve against "
                                   "independent counting routes")
+    p_check.set_defaults(run=cmd_sieve_check)
     p_check.add_argument("--limit", type=int, default=10 ** 6,
                          help="the checks' bound; monotonicity also counts "
                               "at 2, 10, 100 and 1000 (default 10^6)")
@@ -439,7 +433,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {problem}", file=sys.stderr)
         return EXIT_RESOURCE
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except dihedral.SearchLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE

@@ -17,10 +17,10 @@ The flags have one form in memory, an int whose bit i is set iff
 (lo | 1) + 2i is prime: sieve_range returns it, odd_rows yields it one
 segment (a row of SEGMENT_ODDS bits) at a time, prime_count, sieve-check
 and the cyclotomic family are popcounts of rows cut below x by cut, tile
-spreads a residue class across a row.  Flag bytes exist only in cache
-files, inside _packed, which joins a segment's flag bytes before
-sieve_range builds the int from them, and inside prime_chunks, which
-lists the primes of a range.
+spreads a residue class across a row, and prime_chunks lists the primes
+of a range from its rows' binary digits.  Flag bytes exist only in cache
+files and inside _packed, which joins a segment's flag bytes before
+sieve_range builds the int from them.
 All of it is pure Python: nothing imports numpy.
 """
 
@@ -274,18 +274,17 @@ def prime_count(x: float) -> int:
 def prime_chunks(lo: int, hi: int) -> Iterator[list[int]]:
     """Yield the primes in [lo, hi) as increasing lists."""
     _check_range(lo, hi)
-    # table k maps a flag byte to its bit k: the inverse of _packed's slices
-    tables = [bytes(b >> k & 1 for b in range(256)) for k in range(8)]
+    digits = bytes.maketrans(b"01", b"\0\1")  # a binary digit to its bit
     if lo <= 2 < hi:
         yield [2]
     # the segment at `at` holds an odd integer of [lo, hi) iff at + 1 < hi,
     # and lo | 1, the first odd integer at or above lo, lies in lo's segment
     step = SEGMENT_WIDTH
     for at in range(lo - lo % step if lo | 1 < hi else hi, hi - 1, step):
-        flags = sieve_range(at, at + step).to_bytes(SEGMENT_ODDS // 8, "little")
-        row = bytearray(SEGMENT_ODDS)
-        for k, table in enumerate(tables):
-            row[k::8] = flags.translate(table)
+        # format writes the most significant bit first: reversed, byte i
+        # is bit i of the row
+        row = format(sieve_range(at, at + step), f"0{SEGMENT_ODDS}b")
+        row = row[::-1].encode().translate(digits)
         odds = list(itertools.compress(range(at + 1, at + step, 2), row))
         odds = odds[bisect.bisect_left(odds, lo):bisect.bisect_left(odds, hi)]
         if odds:

@@ -160,6 +160,16 @@ class TestBoundDenominator:
         with pytest.raises(ValueError, match="underflows a float at n=8"):
             bounds.bound_denominator(f, s)
 
+    @pytest.mark.parametrize("D_size, x, a", [(0, 100.0, 0.0),
+                                              (4, 0.5, 0.5)],
+                             ids=["empty-D-a-zero", "x-below-one"])
+    def test_the_guard_arms_that_still_underflow(self, D_size, x, a):
+        # 0^0 = 1 leaves every factor positive, and so does 0 < x < 1
+        s = sample(n=8, x=x, D_size=D_size, li_x=0.0)
+        f = bounds.BoundFamily("C", a, -400.0, 0.01)
+        with pytest.raises(ValueError, match="underflows a float at n=8"):
+            bounds.bound_denominator(f, s)
+
     @pytest.mark.parametrize("D_size, x", [(0, 100.0), (4, 0.0)],
                              ids=["empty-D", "x-zero"])
     def test_a_true_zero_is_not_an_underflow(self, D_size, x):
@@ -341,6 +351,22 @@ class TestFalsificationScan:
         assert ((report.last_first_ratio > bounds.RATIO_THRESHOLD)
                 == (verdict == bounds.DIVERGES))
         assert report.verdict == verdict
+
+    @pytest.mark.parametrize("threshold, statistic", [
+        ("SLOPE_THRESHOLD", "slope"),
+        ("RATIO_THRESHOLD", "last_first_ratio"),
+    ])
+    def test_verdict_thresholds_are_strict(self, threshold, statistic,
+                                           dihedral_samples, monkeypatch):
+        # slope 0.203 and ratio 2.84 clear both defaults; a threshold at
+        # the scan's own value is not cleared, the float below it is
+        f = bounds.BoundFamily("Cprime", 0.5, -0.5, 0.01)
+        samples = [dihedral_samples[r] for r in range(4, 13)]
+        value = getattr(self.scan(f, samples), statistic)
+        monkeypatch.setattr(bounds, threshold, value)
+        assert self.scan(f, samples).verdict == bounds.BOUNDED
+        monkeypatch.setattr(bounds, threshold, math.nextafter(value, -math.inf))
+        assert self.scan(f, samples).verdict == bounds.DIVERGES
 
     def test_slope_agrees_with_polyfit(self, dihedral_samples):
         f = bounds.BoundFamily(variant="Cprime", a=0.0, b=-0.5, epsilon=0.01)

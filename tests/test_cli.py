@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import importlib
 import json
@@ -381,7 +382,7 @@ class TestResourceGuard:
         # however small the limit.  The stub records a run the guard let
         # through instead of sieving.
         ran = []
-        monkeypatch.setitem(cli._COMMANDS, "sieve-check",
+        monkeypatch.setattr(cli, "cmd_sieve_check",
                             lambda args: ran.append(args) or EXIT_OK)
         rc, out, err = run(capsys, "sieve-check", *argv)
         assert rc == EXIT_RESOURCE
@@ -491,6 +492,23 @@ class TestFalsifyCommand:
         assert rc == EXIT_OK  # completion, not the verdict, drives the code
         _, _, summary = parse_csv(out)
         assert summary["verdict"] == "BOUNDED"
+
+    @pytest.mark.parametrize("family, verdict", [
+        ("dihedral", "BOUNDED"),
+        ("cyclotomic", "DIVERGES"),
+    ])
+    def test_range_alpha_zero_gives_a_report(self, family, verdict, capsys):
+        # the range x > n starts below every sample, so none is waived;
+        # at the default --range-alpha 1 each cyclotomic row is
+        rc, out, err = run(capsys, "falsify", "--family", family,
+                           "--r-min", "4", "--r-max", "8",
+                           "--range-alpha", "0")
+        assert rc == EXIT_OK and err == ""
+        _, rows, summary = parse_csv(out)
+        assert [row["r"] for row in rows] == ["4", "5", "6", "7", "8"]
+        assert summary["range_alpha"] == "0"
+        assert summary["verdict"] == verdict
+        assert summary["range_waived_r"] == ""
 
     @staticmethod
     def refuse_fg(capsys, *args):
@@ -1067,6 +1085,78 @@ class TestPackageModules:
         proc = TestWithoutNumpy.python("-c", self.CODE.format(module))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == loaded
+
+
+class TestPublicNames:
+    """The public names each module defines at its top level, and the
+    private names bench/traced.py wraps by name: removing one, or adding
+    a name or a module, is a deliberate edit of this table."""
+
+    PUBLIC = {
+        "__init__": [],
+        "__main__": [],
+        "analytic": ["li"],
+        "bounds": [
+            "BOUNDED", "BoundFamily", "ChebotarevSample", "DIVERGES",
+            "FAMILIES", "M", "RATIO_THRESHOLD", "SLOPE_THRESHOLD",
+            "ScanReport", "ScanRow", "SerreFit", "VARIANTS", "abs_error",
+            "bound_denominator", "discriminant_bracket",
+            "falsification_scan", "implied_constant", "main_term",
+            "range_check", "range_start", "serre_fit",
+        ],
+        "cli": [
+            "EXIT_FAILURE", "EXIT_IO", "EXIT_OK", "EXIT_RESOURCE",
+            "EXIT_USAGE", "MEMORY_BUDGET", "SIEVE_GUARD", "build_parser",
+            "cmd_cyclotomic", "cmd_dihedral", "cmd_falsify", "cmd_serre",
+            "cmd_sieve_check", "cyclotomic_sample", "dihedral_sample",
+            "entrypoint", "main", "render_csv", "render_json",
+        ],
+        "cyclotomic": [
+            "CyclotomicInstance", "build_D", "measure_counts",
+            "measure_family", "peak_bytes", "pi_D_cyclotomic",
+        ],
+        "dihedral": [
+            "ExactBoundExceeded", "MILLER_RABIN_BASES", "MILLER_RABIN_BOUND",
+            "SearchLimitExceeded", "alpha_dihedral", "min_split_prime",
+            "pi_D_dihedral",
+        ],
+        "sieve": [
+            "CACHE_ENV", "MAX_LIMIT", "MAX_SEGMENTS_PER_RANGE",
+            "SEGMENT_ODDS", "SEGMENT_WIDTH", "cut", "odd_rows",
+            "prime_chunks", "prime_count", "sieve_range", "tile",
+        ],
+    }
+    PACKAGE = Path(cli.__file__).parent
+
+    @staticmethod
+    def top_level_names(path: Path) -> set:
+        """The names a module's own top-level statements bind, imports
+        aside."""
+        names = set()
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names.update(n.id for t in targets for n in ast.walk(t)
+                             if isinstance(n, ast.Name))
+        return names
+
+    def test_the_modules(self):
+        assert sorted(p.stem for p in self.PACKAGE.glob("*.py")) == sorted(
+            self.PUBLIC)
+
+    @pytest.mark.parametrize("module", sorted(PUBLIC))
+    def test_public_names(self, module):
+        names = self.top_level_names(self.PACKAGE / f"{module}.py")
+        assert sorted(n for n in names if not n.startswith("_")) == (
+            self.PUBLIC[module])
+
+    @pytest.mark.parametrize("module, name", [("cli", "_map_ordered")])
+    def test_traced_private_names(self, module, name):
+        assert callable(getattr(importlib.import_module(f"cheblab.{module}"),
+                                name))
 
 
 class TestRecordsStayOutOfReports:
