@@ -13,20 +13,17 @@ bits, holds the indices [k * 2^20, (k + 1) * 2^20).  D is kept in the
 same one form: from n = 2^20 on, row t of D holds the classes [t * 2^20,
 (t + 1) * 2^20), and below it D is one row of n bits.  A family
 (measure_family, n strictly increasing) is one ordered pass over the
-rows below its largest T, each held as it comes.  At a member's T the
-rows held and the current row, sieve.cut at T, are folded one residue
-t mod m = max(n / 2^20, 1) at a time, by the one fold that serves every
-n: the classes hit in D's row t are the OR of rows[t::m], halved to n
-bits while n < 2^20, and D's row t is their complement.  Every held row
-lies wholly below T, so pi_D(T) is counted as pi_D_cyclotomic counts
-it: the popcounts of the held rows and the cut, each AND D's row.  A
-fold that missed a class, or a D that holds a class hit, thus counts
-non-zero.  The last member drops each row once its residue is folded
-and counted, so its D takes the rows' place.  Once it alone is pending,
-it folds residue t as soon as row k, t's last row up to the row K cut
-at T, arrives, if t has a row before it (k >= m); the other classes
-fold at T.  So about max(K + 1 - m, m) + 1 of the K + 1 rows below T
-are held at once, and nothing between calls.
+rows below its largest T, in which each member counts the odd primes of
+each class as bit-planes, per block t = k mod m, m = max(n / 2^20, 1):
+plane j holds bit j of every count in the block.  Row k, sieve.cut at
+the member's T, is added into block k mod m by a ripple carry, after
+the same adder has halved it to n bits while n < 2^20; a block's first
+row is its plane 0, the row int itself.  One rule serves every member:
+block t is final once its last row below T arrives.  D's row t is then
+the complement of the OR of the planes and that row, which is never
+added in, and the block's share of pi_D(T) is sum_j 2^j * popcount(P_j
+& D's row t) over both, so a D that holds a class hit counts non-zero.
+A final block drops its planes; nothing is held between calls.
 
 measure_counts yields each member's (n, T, |D|, pi_D(T)), the two counts
 that the commands report.  Under CHEB_CACHE_DIR it keeps them as one
@@ -43,7 +40,7 @@ import functools
 import math
 import operator
 import struct
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import bounds, sieve
 from .dihedral import _validate_n
@@ -77,8 +74,8 @@ def measure_family(
     """Yield (member, pi_D(T)) for each n in turn, from one ordered pass.
 
     ns must strictly increase.  The aligned segments below the largest T
-    are sieved once, in order; each member is folded from the held rows
-    when the pass reaches its T and is not held here once yielded.
+    are sieved once, in order; each member is yielded when the pass
+    reaches its T, and is not held here once yielded.
     """
     return _walk(_checked(ns, alpha), alpha)
 
@@ -145,62 +142,62 @@ def _stored_counts(
 
 
 def _walk(ns: list[int], alpha: float) -> Iterator[tuple[CyclotomicInstance, int]]:
-    """The pass of measure_family, over validated, increasing ns.
-
-    Row k of the flags is held for the later members' folds.  `early`
-    keeps the last member's classes folded before T: D's row and count.
-    """
-    if not ns:
-        return
-    Ts = [bounds.range_start(n, alpha) for n in ns]
-    pending = [(n, T, math.ceil(T) // 2) for n, T in zip(ns, Ts)]  # odds below T
-    m, last = ns[-1] // _ROW_BITS, pending[-1][2]
-    rows: list[int] = []                        # the rows before row k
-    early: dict[int, tuple[int, int]] = {}
-    for k, row in enumerate(sieve.odd_rows(Ts[-1])):
-        while pending and pending[0][2] <= (k + 1) * _ROW_BITS:
-            n, T, _ = pending.pop(0)
-            rows.append(sieve.cut(row, k, T))
-            # the last member drops the rows: nothing else reads them.  A list:
-            # zip(*genexpr) left a tuple per member on CPython's free list
-            D, pi_D = zip(*[early.pop(t, None)
-                              or _fold_class(rows, t, n, drop=not pending)
-                              for t in range(max(n // _ROW_BITS, 1))])
-            rows.pop()
-            yield CyclotomicInstance(n=n, T=T, rows=D), sum(pi_D)
-            del D               # the consumer holds the member now, or not at all
-        if not pending:
-            return
-        rows.append(row)
-        # row k is the last of its class up to the cut row, and not the first
-        if len(pending) == 1 and 0 < m <= k and last <= (k + m) * _ROW_BITS:
-            early[k % m] = _fold_class(rows, k % m, ns[-1], drop=True)
+    """The pass of measure_family, over validated, increasing ns.  A
+    pending member is n, T, its last row below T, its blocks' planes and
+    its final blocks' (D's row, share of pi_D(T))."""
+    pending = []
+    for n in ns:
+        T, m = bounds.range_start(n, alpha), max(n // _ROW_BITS, 1)
+        pending.append((n, T, (math.ceil(T) // 2 - 1) // _ROW_BITS,
+                        [[] for _ in range(m)], [None] * m))
+    for k, row in enumerate(sieve.odd_rows(pending[-1][1]) if ns else ()):
+        for n, T, last, planes, D in pending:
+            t, counts = k % len(D), _halved(sieve.cut(row, k, T), n)
+            if k + len(D) <= last:              # block t has a row to come
+                for j, bits in enumerate(counts):
+                    _carry(planes[t], bits, j)
+            else:                               # row k is block t's last
+                D[t] = _final(planes[t], counts, (1 << min(n, _ROW_BITS)) - 1)
+                planes[t] = []
+        while pending and pending[0][2] == k:
+            n, T, _, _, D = pending.pop(0)
+            full = (1 << min(n, _ROW_BITS)) - 1  # a block that no row reaches
+            rows, pi_D = zip(*[block or (full, 0) for block in D])
+            yield CyclotomicInstance(n=n, T=T, rows=rows), sum(pi_D)
+            del D, rows, full   # the consumer holds the member now, or not at all
 
 
-def _fold_class(rows: list[int], t: int, n: int, drop: bool) -> tuple[int, int]:
-    """D's row t for n, and the set bits of rows[t::m], m = max(n / 2^20,
-    1), that lie in it.  D's row is the complement of their OR, halved to
-    n bits while n < 2^20.  With `drop` they are set to 0 once counted, so
-    D's row can take their place."""
-    m = max(n // _ROW_BITS, 1)
-    folded = rows[t::m]
-    D, width = functools.reduce(operator.or_, folded, 0), _ROW_BITS
+def _carry(planes: list[int], bits: int, j: int = 0) -> None:
+    """Add 2^j to the count of each class set in bits: a ripple carry up
+    the planes from plane j, in place.  A new plane is bits itself."""
+    while bits and j < len(planes):
+        planes[j], bits = planes[j] ^ bits, planes[j] & bits
+        j += 1
+    if bits:
+        planes += [0] * (j - len(planes)) + [bits]
+
+
+def _halved(row: int, n: int) -> list[int]:
+    """The planes of a row's counts per class k mod n: the row itself from
+    n = 2^20 on, else the row halved to n bits, the high half of each
+    plane added into the low half by _carry."""
+    planes, width = [row], _ROW_BITS
     while width > n:
         width //= 2
-        D = (D | D >> width) & ((1 << width) - 1)
-    D ^= (1 << width) - 1                       # the classes no row hits
-    pi_D = _ones(folded, [sieve.tile(D, n)])
-    if drop:
-        rows[t::m] = [0] * len(folded)
-    del folded
-    return D, pi_D
+        high = [plane >> width for plane in planes]
+        planes = [plane & ((1 << width) - 1) for plane in planes]
+        for j, bits in enumerate(high):
+            _carry(planes, bits, j)
+    return planes
 
 
-def _ones(rows: Iterable[int], cover: Sequence[int]) -> int:
-    """Set bits of row k that are also set in cover[k mod len(cover)],
-    summed over the rows."""
-    m = len(cover)
-    return sum((row & cover[k % m]).bit_count() for k, row in enumerate(rows))
+def _final(planes: list[int], counts: list[int], full: int) -> tuple[int, int]:
+    """A final block's D row, the classes of `full` that neither its planes
+    nor its last row's counts hit, and sum_j 2^j popcount(P_j & D) over
+    both: the block's share of pi_D(T)."""
+    D = functools.reduce(operator.or_, planes + counts) ^ full
+    return D, sum((plane & D).bit_count() << j
+                  for each in (planes, counts) for j, plane in enumerate(each))
 
 
 def build_D(n: int, alpha: float) -> CyclotomicInstance:
@@ -218,22 +215,25 @@ def pi_D_cyclotomic(inst: CyclotomicInstance, x: float) -> int:
     The popcounts of each row k of the flags below x AND D's row
     k mod (n / 2^20), or AND D tiled across 2^20 bits below n = 2^20.
     """
-    return _ones(sieve.odd_rows(x), [sieve.tile(row, inst.n) for row in inst.rows])
+    cover = [sieve.tile(row, inst.n) for row in inst.rows]
+    return sum((row & cover[k % len(cover)]).bit_count()
+               for k, row in enumerate(sieve.odd_rows(x)))
 
 
 def peak_bytes(n: int, alpha: float) -> int:
     """Upper bound on the bytes held at once to build D for n and count pi_D(T).
 
-    The pass holds the flags below T, as rows of 2^20 bits (T/16 bytes),
-    and one member's D of n/8 bytes.  The last member folds each class
-    as its last row arrives and builds D in the place of the rows it
-    drops, so the rows and D together come to about max(T/16 - n/8, n/8)
-    bytes.  Add one sieve segment's workspace: a byte per odd integer and
+    The pass holds each member's open blocks, a plane per bit of their
+    largest count, and D's final rows, of n bits or 2^20 from n = 2^20 on:
+    at most the T/16 bytes of the flags below T and n/8 more, and about
+    max(T/16 - n/8, n/8) bytes at alpha = 0.5, as blocks become final in
+    turn.  Add one sieve segment's workspace: a byte per odd integer and
     the packed flags, about 1.27 bytes per odd integer.  The charge
     exceeds that: four times the flags below T in whole segments, n + n/4
-    bytes for D and the fold, and the workspace at 3 bytes per odd
-    integer.  The family holds the flags below its largest T, so the
-    bound at its largest n covers every member.
+    bytes for D and the planes, and the workspace at 3 bytes per odd
+    integer.  A family's smaller members hold about as much again
+    together, inside that margin, so the bound at its largest n covers
+    every member.
     """
     _checked([n], alpha)
     step = sieve.SEGMENT_WIDTH

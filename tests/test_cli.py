@@ -936,6 +936,55 @@ class TestCountsReplay:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# The files a cold `falsify --family cyclotomic --r-min 8 --r-max 20` writes
+# into an empty CHEB_CACHE_DIR, with the sha256 of each, as cheblab 0.26.0
+# wrote them: the two segments below T(2^20) and one counts record per member.
+COLD_FALSIFY_CACHE_SHA256 = {
+    "counts-256-0x1.2d6abe44afc43p+9.chebc":
+        "6a1ad5018a8842b40321fa0420461cf42cc5cc55fd5a7d80b6ba2f6ca5a6faa3",
+    "counts-512-0x1.3fb372d0959f6p+10.chebc":
+        "4eabe24d2ce885d13882fbdb53deaa9f189955ab07337a2f747248e1f41e41a3",
+    "counts-1024-0x1.50fe91d179109p+11.chebc":
+        "5e3042b724cfdf13c35cb5f773e2c895ae8214678b4685e09084abb0dd05913e",
+    "counts-2048-0x1.6171563451dcep+12.chebc":
+        "60002f547e44c37eea8e18bfaf50754bdb04b31d9ecb2e5504764cee4dae7326",
+    "counts-4096-0x1.7128ac8de74b5p+13.chebc":
+        "a203669b6b10c1704e28fe5213b756a15c6258066d44ca9884748a023993b026",
+    "counts-8192-0x1.803b9557bec5bp+14.chebc":
+        "26f4a3d3ab7c657d3f5041f3909bef9759a85194b1f05ce8656a891420786b36",
+    "counts-16384-0x1.8ebcb6ec1f23fp+15.chebc":
+        "fbf2e845c8bd5279c35317b0f36d573b322d2242a95af1c9a9c6d1f306139512",
+    "counts-32768-0x1.9cbb700b52653p+16.chebc":
+        "07756aa538e486574c441226bdf127c7e7a348485bcf149eeedfad86d0ab8d45",
+    "counts-65536-0x1.aa4499161cd47p+17.chebc":
+        "0a8da358b074d322f49653da323c1637f42ce9ab188903325dcc5223ac5f927b",
+    "counts-131072-0x1.b7630f9bbec54p+18.chebc":
+        "adc25aacfb3acc911a7718022dc2e98ce3bdf062dbcc85b8a410f56b6201bbe3",
+    "counts-262144-0x1.c4201d6707a65p+19.chebc":
+        "b8906538f40c4e188f5ac28f3cc05d16b489a1f5bc94e942c82ef200051d7aa0",
+    "counts-524288-0x1.d083c612fcaa6p+20.chebc":
+        "88f3f1f85636999802029d3929b7b4c94c478bd7bfef174e8730fff5fab8a27e",
+    "counts-1048576-0x1.dc950272e3d7bp+21.chebc":
+        "470ad44c902858ecc211514e9268042c6e5811f37884821fad09ea7518920940",
+    "sieve-0-2097152.cheb2":
+        "74dd96e5f1b2d640b788f28200bdba2016f4aba7db324d06b89a7a41c4968c1d",
+    "sieve-2097152-4194304.cheb2":
+        "c2967f861de9ae516054245d7fdee577058889a6ee761504ac98ba368a95a6b1",
+}
+
+
+class TestColdCacheFiles:
+    def test_cold_falsify_writes_the_frozen_files(self, capsys, monkeypatch,
+                                                  tmp_path):
+        monkeypatch.setenv(sieve.CACHE_ENV, str(tmp_path))
+        rc, _, _ = run(capsys, "falsify", "--family", "cyclotomic",
+                       "--r-min", "8", "--r-max", "20")
+        assert rc == EXIT_OK
+        written = sorted((path.name, hashlib.sha256(path.read_bytes()).hexdigest())
+                         for path in tmp_path.iterdir())
+        assert written == sorted(COLD_FALSIFY_CACHE_SHA256.items())
+
+
 class TestDeterminismQuick:
     def test_workers_do_not_change_output(self, capsys):
         runs = []

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
 import operator
+import random
 import struct
 import tracemalloc
 import types
@@ -123,6 +125,27 @@ class TestMeasureFamily:
         monkeypatch.setattr(cyclotomic, "functools", types.SimpleNamespace(
             reduce=lambda f, rows, *init: reduce(f, list(rows)[1:], *init)))
         inst, pi_D = next(cyclotomic.measure_family([n], alpha))
+        assert pi_D > 0
+        assert pi_D == cyclotomic.pi_D_cyclotomic(inst, inst.T)
+
+    @pytest.mark.parametrize("n", [1 << 12, 1 << 21], ids=["one-row", "two-rows"])
+    def test_a_hit_class_let_into_D_counts_its_primes(self, n, monkeypatch):
+        # The first block to become final lets its lowest class hit by a
+        # prime below T into D.  pi_D(T) is counted over the D the walk
+        # returns, so it counts that class's primes.
+        good = cyclotomic.build_D(n, 0.5)
+        final, leaked = cyclotomic._final, []
+
+        def leaky(planes, counts, full):
+            if not leaked:
+                hit = functools.reduce(operator.or_, planes + counts)
+                leaked.append(hit & -hit)
+                full ^= leaked[0]
+            return final(planes, counts, full)
+
+        monkeypatch.setattr(cyclotomic, "_final", leaky)
+        inst, pi_D = next(cyclotomic.measure_family([n], 0.5))
+        assert inst.D_size == good.D_size + 1
         assert pi_D > 0
         assert pi_D == cyclotomic.pi_D_cyclotomic(inst, inst.T)
 
@@ -362,10 +385,10 @@ def hit_by_sieved_primes(n: int, T: float) -> np.ndarray:
 
 
 class TestEarlyFold:
-    """The last member folds class t = k mod m, m = n / 2^20, as its last
-    row k below T arrives, if k >= m; the other classes fold at T.  Each
-    edge of that rule against the sieve's primes unpacked by numpy and
-    against trial division."""
+    """Block t = k mod m, m = n / 2^20, of every member is final once its
+    last row k below T arrives, and a block that no row below T reaches
+    stays whole in D.  Each edge of that rule against the sieve's primes
+    unpacked by numpy and against trial division."""
 
     @pytest.mark.parametrize("n,alpha,rows_per_class", [
         (1 << 22, 0.1, 0),      # K + 1 = 3 < m = 4: class 3 has no row
@@ -396,6 +419,82 @@ class TestEarlyFold:
                        and in_D_by_trial(inst, p % (2 * n)))
         assert (cyclotomic.pi_D_cyclotomic(inst, hi)
                 - cyclotomic.pi_D_cyclotomic(inst, lo)) == expected
+
+
+def decoded(planes: list[int], width: int) -> np.ndarray:
+    """The counts that bit-planes hold: plane j adds 2^j to count i where
+    its bit i is set."""
+    counts = np.zeros(width, dtype=np.int64)
+    for j, plane in enumerate(planes):
+        packed = np.frombuffer(plane.to_bytes(-(-width // 8), "little"),
+                               dtype=np.uint8)
+        bits = np.unpackbits(packed, count=width, bitorder="little")
+        counts += bits.astype(np.int64) << j
+    return counts
+
+
+@pytest.fixture(scope="module")
+def primes_to_16T() -> list[int]:
+    """Primes below 16 T(2^12, 0.5) by trial division."""
+    return oracles.trial_primes_below(16 * bounds.range_start(1 << 12, 0.5))
+
+
+class TestPlanes:
+    """The walk's adder and halving, checked through the counts their
+    planes hold."""
+
+    @pytest.mark.parametrize("c", [1, 2, 4, 16])
+    @pytest.mark.parametrize("r", [3, 5, 8, 10, 12])
+    def test_class_counts_equal_trial_primes(self, r, c, primes_to_16T):
+        n = 1 << r
+        x = c * bounds.range_start(n, 0.5)
+        planes: list[int] = []
+        for row in sieve.odd_rows(x):
+            for j, bits in enumerate(cyclotomic._halved(row, n)):
+                cyclotomic._carry(planes, bits, j)
+        want = np.zeros(n, dtype=np.int64)
+        for p in primes_to_16T:
+            if 2 < p < x:
+                want[p % (2 * n) // 2] += 1
+        np.testing.assert_array_equal(decoded(planes, n), want)
+
+    def test_adder_sums_random_ints(self):
+        rng, width = random.Random(32), sieve.SEGMENT_ODDS
+        planes: list[int] = []
+        want = np.zeros(width, dtype=np.int64)
+        for _ in range(12):
+            bits, j = rng.getrandbits(rng.randint(1, width)), rng.randint(0, 3)
+            cyclotomic._carry(planes, bits, j)
+            want += decoded([bits], width) << j
+        assert want.max() > 8
+        np.testing.assert_array_equal(decoded(planes, width), want)
+
+
+# sha256 of D's rows, each as little-endian bytes of min(n, 2^20) bits, as
+# cheblab 0.26.0 built them: a D of the right size whose classes differ fails.
+D_ROWS_SHA256 = {
+    (12, 0.1): "a48908f6721ffca773e19d2a5be1cce827cf49daebefe534c3d7e3d53f6cd29f",
+    (20, 0.1): "1c1eb886626a0d74b15459f23500d86f05233d9f08390695394b7cdda3c0b016",
+    (22, 0.1): "003d9bf28a52312b62da34f457565d5a1a1032ae35ba9d23d8f30f4f6270ed57",
+    (12, 0.5): "ea389b944e02215361077bea1ea50795ca7f0101e541321fb171a46ad7ac7792",
+    (20, 0.5): "2e25df3626ba23f364e9a0efa8940da6a19f8c6a14e81d107db17345054e44ca",
+    (22, 0.5): "403fdbad66b905a02ccc15db1bfd4f034aa19545819eeb99cfe2792168f8a8d2",
+    (24, 0.5): "b1fcc68dccf8c37a1ef41d719e683e06b723e7153e6e1acf35f2c7c5785fe9a0",
+    (12, 0.99): "271636b0e51ad6d7262d5cb5a5973de27fbf1ba6700cb9e93c62ab1df120601d",
+    (20, 0.99): "3667458263c5a6ceee06521cc942d6235c8a2aaa4b3eb282505d4c270c2c2532",
+    (22, 0.99): "855f6abdf37b01d922a78c81ce092248c0e344cb9e9f0ead1837c2d7457de39c",
+}
+
+
+class TestFrozenD:
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.99])
+    def test_rows_digest(self, alpha):
+        rs = [r for r, a in D_ROWS_SHA256 if a == alpha]
+        members = cyclotomic.measure_family([1 << r for r in rs], alpha)
+        for r, (inst, _) in zip(rs, members, strict=True):
+            width = min(inst.n, sieve.SEGMENT_ODDS) // 8
+            rows = b"".join(row.to_bytes(width, "little") for row in inst.rows)
+            assert hashlib.sha256(rows).hexdigest() == D_ROWS_SHA256[r, alpha], r
 
 
 class TestInstanceRecord:
