@@ -5,9 +5,9 @@ query layer.  sieve_range fills one byte per odd integer of [lo, hi)
 from a wheel for 3..13, strikes the multiples of the other base primes
 below sqrt(hi) with bytearray slices, and packs the bytes to bits.
 Every reader walks whole aligned segments
-[k * SEGMENT_WIDTH, (k + 1) * SEGMENT_WIDTH), and only those are
-cached on disk, so the cache keys do not depend on x or on which reader
-asked.  Cache files end in a CRC-32 of header and payload, so a damaged
+[k * SEGMENT_WIDTH, (k + 1) * SEGMENT_WIDTH) through odd_rows, and only
+those are cached on disk, so the cache keys depend on neither x nor the
+reader.  Cache files end in a CRC-32 of header and payload, so a damaged
 file is recomputed rather than read; _cache_read and _cache_write serve
 the segments and the cyclotomic family's per-member counts alike.  The
 module holds no state between calls but the base primes of the last
@@ -15,12 +15,12 @@ range.
 
 The flags have one form in memory, an int whose bit i is set iff
 (lo | 1) + 2i is prime: sieve_range returns it, odd_rows yields it one
-segment (a row of SEGMENT_ODDS bits) at a time, prime_count, sieve-check
-and the cyclotomic family are popcounts of rows cut below x by cut, tile
-spreads a residue class across a row, and prime_chunks lists the primes
-of a range from its rows' binary digits.  Flag bytes exist only in cache
-files and inside _packed, which joins a segment's flag bytes before
-sieve_range builds the int from them.
+segment (a row of SEGMENT_ODDS bits) at a time from any first row,
+prime_count, sieve-check and the cyclotomic family are popcounts of
+rows cut below x by cut, tile spreads a residue class across a row, and
+prime_chunks lists the primes of a range from its rows' binary digits.
+Flag bytes exist only in cache files and inside _packed, which joins a
+segment's flag bytes before sieve_range builds the int from them.
 All of it is pure Python: nothing imports numpy.
 """
 
@@ -244,15 +244,16 @@ def cut(row: int, k: int, x: float) -> int:
     return row if odds >= SEGMENT_ODDS else row & ((1 << max(odds, 0)) - 1)
 
 
-def odd_rows(x: float) -> Iterator[int]:
+def odd_rows(x: float, first: int = 0) -> Iterator[int]:
     """The flags of the odd integers below ceil(x), one int (a row) per
     aligned segment that holds one of them (the segment at lo iff
-    lo + 1 < ceil(x)), in order: row k is sieve_range of segment k, cut
-    by cut(row, k, x).  x is checked here, not on the first next().
-    """
+    lo + 1 < ceil(x)), in order from row `first`, before which nothing is
+    sieved or read: row k is sieve_range of segment k, cut by
+    cut(row, k, x).  x is checked here, not on the first next()."""
     _check_count_limit(x)
     return (cut(sieve_range(lo, lo + SEGMENT_WIDTH), lo // SEGMENT_WIDTH, x)
-            for lo in range(0, math.ceil(x) - 1, SEGMENT_WIDTH))
+            for lo in range(first * SEGMENT_WIDTH, math.ceil(x) - 1,
+                            SEGMENT_WIDTH))
 
 
 def tile(bits: int, period: int) -> int:
@@ -272,20 +273,18 @@ def prime_count(x: float) -> int:
 
 
 def prime_chunks(lo: int, hi: int) -> Iterator[list[int]]:
-    """Yield the primes in [lo, hi) as increasing lists."""
+    """Yield the primes in [lo, hi) as increasing lists: 2, then those of
+    each row of odd_rows(hi) from lo's row, which holds lo | 1."""
     _check_range(lo, hi)
     digits = bytes.maketrans(b"01", b"\0\1")  # a binary digit to its bit
     if lo <= 2 < hi:
         yield [2]
-    # the segment at `at` holds an odd integer of [lo, hi) iff at + 1 < hi,
-    # and lo | 1, the first odd integer at or above lo, lies in lo's segment
-    step = SEGMENT_WIDTH
-    for at in range(lo - lo % step if lo | 1 < hi else hi, hi - 1, step):
+    first = lo // SEGMENT_WIDTH
+    for k, row in enumerate(odd_rows(hi, first) if lo | 1 < hi else (), first):
         # format writes the most significant bit first: reversed, byte i
-        # is bit i of the row
-        row = format(sieve_range(at, at + step), f"0{SEGMENT_ODDS}b")
-        row = row[::-1].encode().translate(digits)
-        odds = list(itertools.compress(range(at + 1, at + step, 2), row))
-        odds = odds[bisect.bisect_left(odds, lo):bisect.bisect_left(odds, hi)]
+        # is bit i of the row, which odd_rows cut below hi
+        row = format(row, f"0{SEGMENT_ODDS}b")[::-1].encode().translate(digits)
+        odds = list(itertools.compress(range(k * SEGMENT_WIDTH + 1, hi, 2), row))
+        odds = odds[bisect.bisect_left(odds, lo):]
         if odds:
             yield odds

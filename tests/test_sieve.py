@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import bisect
 import contextlib
+import hashlib
 import io
 import math
 import os
@@ -379,6 +380,18 @@ class TestIteratePrimes:
         assert self.collect(3, STEP + 1)[-1] == 2097143
         assert calls == [(0, STEP)]
 
+    def test_sieves_no_segment_below_the_range(self, monkeypatch):
+        # segments sieved as 0, so only the calls are checked
+        calls = []
+
+        def recorded(lo, hi):
+            calls.append((lo, hi))
+            return 0
+
+        monkeypatch.setattr(sieve, "sieve_range", recorded)
+        assert self.collect(5 * STEP + 3, 6 * STEP + 10) == []
+        assert calls == [(5 * STEP, 6 * STEP), (6 * STEP, 7 * STEP)]
+
     @given(st.lists(st.one_of(*(st.integers(max(0, c - 10 ** 4), c + 10 ** 4)
                                 for c in (0, STEP, 2 * STEP))),
                     min_size=2, max_size=2))
@@ -391,6 +404,31 @@ class TestIteratePrimes:
         want = ([2] if lo <= 2 < hi else []) \
             + oracles.odd_primes(sieve.sieve_range(lo, hi), lo, hi).tolist()
         assert self.collect(lo, hi) == want
+
+    # chunks and sieve_range calls of prime_chunks over ranges that are
+    # empty, hold 2 alone, cross segment seams or lie at 2^40, and the
+    # sha256 of their repr as cheblab 0.27.0 gave them
+    FROZEN_RANGES = [(0, 3), (2, 3), (10, 11), (0, 1),
+                     (STEP - 50, STEP + 50), (3 * STEP + 7, 5 * STEP - 3),
+                     (2 ** 40 - 10 ** 5, 2 ** 40), (0, 10 ** 6)]
+    FROZEN_DIGEST = (
+        "f4bf2913071e4b89976c31ffa80706e199140f47fd3674dab20563311d88cbf3")
+
+    def test_frozen_chunks_and_calls(self, monkeypatch):
+        sieve_range = sieve.sieve_range
+        calls = []
+
+        def recorded(lo, hi):
+            calls.append((lo, hi))
+            return sieve_range(lo, hi)
+
+        monkeypatch.setattr(sieve, "sieve_range", recorded)
+        digest = hashlib.sha256()
+        for lo, hi in self.FROZEN_RANGES:
+            calls.clear()
+            chunks = list(sieve.prime_chunks(lo, hi))
+            digest.update(repr((lo, hi, chunks, calls)).encode())
+        assert digest.hexdigest() == self.FROZEN_DIGEST
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -496,12 +534,52 @@ class TestPrimeTable:
             assert row == sieve_range(lo, hi), k
             assert zlib.crc32(oracles.flag_bytes(row, lo, hi)) == wanted[k]
 
+    @pytest.mark.parametrize("x", [5 * STEP + 12345, 6 * STEP])
+    def test_first_row(self, x):
+        # x cuts the last row mid-way, or at its end
+        rows = list(sieve.odd_rows(x))
+        for first in (0, 1, 2, 5):
+            assert list(sieve.odd_rows(x, first)) == rows[first:], first
+
+    def test_first_row_sieves_no_earlier_segment(self, monkeypatch):
+        calls = []
+
+        def recorded(lo, hi):
+            calls.append(lo // STEP)
+            return 0
+
+        monkeypatch.setattr(sieve, "sieve_range", recorded)
+        assert len(list(sieve.odd_rows(6 * STEP + 2, 4))) == 3
+        assert calls == [4, 5, 6]
+        # a first row past the last one: no row and no segment
+        calls.clear()
+        assert list(sieve.odd_rows(6 * STEP + 2, 7)) == []
+        assert list(sieve.odd_rows(2.5, 1)) == [] and calls == []
+
+    @pytest.mark.parametrize("k", [1, 7])
+    @pytest.mark.parametrize("d", [-2, -1.5, -1, -0.5, 0, 0.5, 1, 1.5, 2])
+    def test_row_count_is_the_walks_last_row(self, monkeypatch, k, d):
+        # cyclotomic._walk states the last row below T as
+        # (ceil(T) // 2 - 1) // 2^20; odd_rows stops its segments at
+        # ceil(T) - 1: the two agree, with nothing sieved
+        monkeypatch.setattr(sieve, "sieve_range", lambda lo, hi: 0)
+        T = k * STEP + d
+        last = (math.ceil(T) // 2 - 1) // sieve.SEGMENT_ODDS
+        assert sum(1 for _ in sieve.odd_rows(T)) == last + 1
+
     def test_validation(self):
         # raised by the call itself, before any row is read
         with pytest.raises(ValueError):
             sieve.odd_rows(-1)
         with pytest.raises(OverflowError):
             sieve.odd_rows(2 ** 64)
+
+    @pytest.mark.parametrize("x", [-1, math.nan])
+    @pytest.mark.parametrize("first", [0, 3])
+    def test_validation_from_a_first_row(self, x, first):
+        # nan and a negative x raise on the call, not on the first next()
+        with pytest.raises(ValueError):
+            sieve.odd_rows(x, first)
 
 
 def bits_of(row: int) -> np.ndarray:
