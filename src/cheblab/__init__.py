@@ -7,4 +7,4 @@ error terms are compared against parameterized bound templates; diverging
 implied constants falsify a template on the tested range.
 """
 
-__version__ = "0.28.0"
+__version__ = "0.29.0"

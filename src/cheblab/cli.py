@@ -183,11 +183,7 @@ def cmd_serre(args: argparse.Namespace) -> int:
         return n, dihedral.min_split_prime(n)
 
     points = _map_ordered(point, range(args.r_min, args.r_max + 1), args.workers)
-    try:
-        fit = bounds.serre_fit(points)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    fit = bounds.serre_fit(points)
     rows = []
     for n, p_min in points:
         lo, hi = bounds.discriminant_bracket(n)
@@ -437,9 +433,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except dihedral.SearchLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    except dihedral.ExactBoundExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
 
 
 def entrypoint() -> None:

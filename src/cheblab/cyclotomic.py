@@ -15,15 +15,15 @@ same one form: from n = 2^20 on, row t of D holds the classes [t * 2^20,
 (measure_family, n strictly increasing) is one ordered pass over the
 rows below its largest T, in which each member counts the odd primes of
 each class as bit-planes, per block t = k mod m, m = max(n / 2^20, 1):
-plane j holds bit j of every count in the block.  Row k, sieve.cut at
-the member's T, is added into block k mod m by a ripple carry, after
-the same adder has halved it to n bits while n < 2^20; a block's first
-row is its plane 0, the row int itself.  One rule serves every member:
-block t is final once its last row below T arrives.  D's row t is then
-the complement of the OR of the planes and that row, which is never
-added in, and the block's share of pi_D(T) is sum_j 2^j * popcount(P_j
-& D's row t) over both, so a D that holds a class hit counts non-zero.
-A final block drops its planes; nothing is held between calls.
+plane j holds bit j of every count in the block.  Every row k below
+the member's T, sieve.cut at T, is added into block k mod m by a ripple
+carry, after the same adder has halved it to n bits while n < 2^20; a
+block's first row is its plane 0, the row int itself.  Block t is final
+once its last row below T is carried in, for every member alike, and
+its planes are then the class counts below T: D's row t is the
+complement of their OR, and the block's share of pi_D(T) is sum_j 2^j *
+popcount(P_j & D's row t), so a D that holds a class hit counts
+non-zero.  A final block drops its planes; nothing is held between calls.
 
 measure_counts yields each member's (n, T, |D|, pi_D(T)), the two counts
 that the commands report.  Under CHEB_CACHE_DIR it keeps them as one
@@ -142,9 +142,9 @@ def _stored_counts(
 
 
 def _walk(ns: list[int], alpha: float) -> Iterator[tuple[CyclotomicInstance, int]]:
-    """The pass of measure_family, over validated, increasing ns.  A
-    pending member is n, T, its last row below T, its blocks' planes and
-    its final blocks' (D's row, share of pi_D(T))."""
+    """The pass of measure_family over validated, increasing ns.  A member
+    is n, T, its last row below T, its blocks' planes, into which every
+    row below T is carried, and its final blocks' (D's row, pi_D share)."""
     pending = []
     for n in ns:
         T, m = bounds.range_start(n, alpha), max(n // _ROW_BITS, 1)
@@ -152,12 +152,11 @@ def _walk(ns: list[int], alpha: float) -> Iterator[tuple[CyclotomicInstance, int
                         [[] for _ in range(m)], [None] * m))
     for k, row in enumerate(sieve.odd_rows(pending[-1][1]) if ns else ()):
         for n, T, last, planes, D in pending:
-            t, counts = k % len(D), _halved(sieve.cut(row, k, T), n)
-            if k + len(D) <= last:              # block t has a row to come
-                for j, bits in enumerate(counts):
-                    _carry(planes[t], bits, j)
-            else:                               # row k is block t's last
-                D[t] = _final(planes[t], counts, (1 << min(n, _ROW_BITS)) - 1)
+            t = k % len(D)
+            for j, bits in enumerate(_halved(sieve.cut(row, k, T), n)):
+                _carry(planes[t], bits, j)
+            if k + len(D) > last:               # row k is block t's last
+                D[t] = _final(planes[t], (1 << min(n, _ROW_BITS)) - 1)
                 planes[t] = []
         while pending and pending[0][2] == k:
             n, T, _, _, D = pending.pop(0)
@@ -191,13 +190,12 @@ def _halved(row: int, n: int) -> list[int]:
     return planes
 
 
-def _final(planes: list[int], counts: list[int], full: int) -> tuple[int, int]:
-    """A final block's D row, the classes of `full` that neither its planes
-    nor its last row's counts hit, and sum_j 2^j popcount(P_j & D) over
-    both: the block's share of pi_D(T)."""
-    D = functools.reduce(operator.or_, planes + counts) ^ full
-    return D, sum((plane & D).bit_count() << j
-                  for each in (planes, counts) for j, plane in enumerate(each))
+def _final(planes: list[int], full: int) -> tuple[int, int]:
+    """A final block's D row, the classes of `full` that its planes (the
+    class counts below T, none if every row was cut to 0) do not hit, and
+    sum_j 2^j popcount(P_j & D): the block's share of pi_D(T)."""
+    D = functools.reduce(operator.or_, planes, 0) ^ full
+    return D, sum((plane & D).bit_count() << j for j, plane in enumerate(planes))
 
 
 def build_D(n: int, alpha: float) -> CyclotomicInstance:

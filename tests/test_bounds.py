@@ -322,6 +322,17 @@ class TestFalsificationScan:
         assert rep_c.slope == rep_cp.slope
         assert rep_c.verdict == rep_cp.verdict
 
+    def test_a_zero_implied_constant_is_refused(self, dihedral_samples):
+        # a member with |D| = 0 and pi_D = 0 has error 0 at a = 0, where
+        # |D|^a = 1 keeps the denominator positive: log 0 has no fit
+        samples = [dihedral_samples[r] for r in (4, 5, 6)]
+        samples[1] = bounds.ChebotarevSample(
+            **{**samples[1]._asdict(), "D_size": 0, "pi_D": 0})
+        f = bounds.BoundFamily("C", 0.0, 0.0, 0.01)
+        with pytest.raises(ValueError, match="^implied constants must be "
+                                             "positive for a log-log fit$"):
+            self.scan(f, samples)
+
     def test_range_violation_raises_for_dihedral(self, dihedral_samples):
         f = bounds.BoundFamily("Cprime", 0.5, -0.5, 0.01)
         samples = [dihedral_samples[r] for r in (2, 3, 4)]

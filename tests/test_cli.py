@@ -190,6 +190,16 @@ class TestUsageErrors:
         assert (out, sieved) == ("", [])
         assert err == f"error: {option} must be finite, got {value}\n"
 
+    def test_negative_range_alpha(self, capsys, monkeypatch):
+        # refused before any segment is sieved
+        sieved = []
+        monkeypatch.setattr(sieve, "sieve_range",
+                            lambda lo, hi: sieved.append((lo, hi)))
+        rc, out, err = run(capsys, "falsify", "--family", "cyclotomic",
+                           "--r-min", "8", "--r-max", "12", "--range-alpha=-1")
+        assert (rc, out, sieved) == (EXIT_USAGE, "", [])
+        assert err == "error: --range-alpha must be nonnegative\n"
+
     @pytest.mark.parametrize("argv", [
         ("falsify", "--family", "dihedral", "--r-min", "4", "--r-max", "8",
          "--epsilon", "1000"),
@@ -273,6 +283,18 @@ class TestResourceGuard:
             assert out == ""
             assert "2^80" in err
         assert calls == []
+
+    def test_exhausted_search_exits_1(self, capsys, monkeypatch):
+        # a least-split-prime search that finds no prime below its top
+        def exhausted(n):
+            raise dihedral.SearchLimitExceeded(f"no split prime for n={n}")
+
+        monkeypatch.setattr(dihedral, "min_split_prime", exhausted)
+        for argv in (("serre", "--r-min", "2", "--r-max", "4"),
+                     ("dihedral", "--r-max", "4")):
+            rc, out, err = run(capsys, *argv)
+            assert (rc, out) == (EXIT_FAILURE, ""), argv
+            assert err == "error: no split prime for n=4\n", argv
 
     def test_falsify_guard(self, capsys):
         rc, out, err = run(capsys, "falsify", "--family", "dihedral",

@@ -136,12 +136,12 @@ class TestMeasureFamily:
         good = cyclotomic.build_D(n, 0.5)
         final, leaked = cyclotomic._final, []
 
-        def leaky(planes, counts, full):
+        def leaky(planes, full):
             if not leaked:
-                hit = functools.reduce(operator.or_, planes + counts)
+                hit = functools.reduce(operator.or_, planes)
                 leaked.append(hit & -hit)
                 full ^= leaked[0]
-            return final(planes, counts, full)
+            return final(planes, full)
 
         monkeypatch.setattr(cyclotomic, "_final", leaky)
         inst, pi_D = next(cyclotomic.measure_family([n], 0.5))
@@ -468,6 +468,45 @@ class TestPlanes:
             want += decoded([bits], width) << j
         assert want.max() > 8
         np.testing.assert_array_equal(decoded(planes, width), want)
+
+    @staticmethod
+    def final_planes(n, alpha, monkeypatch):
+        """The member n's CyclotomicInstance and the planes that _final
+        receives for each of its blocks, in the order they become final."""
+        final, seen = cyclotomic._final, []
+
+        def recording(planes, full):
+            seen.append(list(planes))
+            return final(planes, full)
+
+        monkeypatch.setattr(cyclotomic, "_final", recording)
+        return next(cyclotomic.measure_family([n], alpha))[0], seen
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.99])
+    @pytest.mark.parametrize("r", [3, 5, 8, 10, 12])
+    def test_final_planes_are_the_class_counts(self, r, alpha, monkeypatch):
+        # Every row below T is carried in before a block becomes final, so
+        # _final reads the counts of the odd primes below T per class.
+        n = 1 << r
+        inst, seen = self.final_planes(n, alpha, monkeypatch)
+        want = np.zeros(n, dtype=np.int64)
+        for p in oracles.trial_primes_below(inst.T):
+            if p > 2:
+                want[p % (2 * n) // 2] += 1
+        assert len(seen) == 1
+        np.testing.assert_array_equal(decoded(seen[0], n), want)
+
+    def test_final_planes_of_two_blocks(self, monkeypatch):
+        # n = 2^21: block t holds the classes [t 2^20, (t + 1) 2^20).
+        n, width = 1 << 21, sieve.SEGMENT_ODDS
+        inst, seen = self.final_planes(n, 0.5, monkeypatch)
+        top = math.ceil(inst.T)
+        primes = oracles.odd_primes(sieve.sieve_range(0, top), 0, top)
+        want = np.bincount(primes[primes < inst.T] % (2 * n) // 2, minlength=n)
+        assert len(seen) == 2
+        for t, planes in enumerate(seen):
+            np.testing.assert_array_equal(decoded(planes, width),
+                                          want[t * width:(t + 1) * width])
 
 
 # sha256 of D's rows, each as little-endian bytes of min(n, 2^20) bits, as

@@ -116,6 +116,10 @@ class TestSieveRange:
             # wider than the materialization cap; must be streamed instead
             sieve.sieve_range(0, sieve.SEGMENT_WIDTH
                               * sieve.MAX_SEGMENTS_PER_RANGE + 4)
+        with pytest.raises(TypeError, match="^lo and hi must be integers$"):
+            sieve.sieve_range(0, 10.0)
+        with pytest.raises(TypeError, match="^lo and hi must be integers$"):
+            next(sieve.prime_chunks(0.5, 10))
 
     def test_limit(self):
         # 2^44 - 17 is the one prime of the window; its base primes are
