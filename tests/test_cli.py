@@ -9,6 +9,7 @@ import importlib
 import json
 import math
 import os
+import random
 import re
 import shlex
 import shutil
@@ -422,8 +423,7 @@ class TestResourceGuard:
             "segmentations=2097152;4096;8191\n"
             "trial-division-equivalence,PASS,x=10 sieve=4 trial=4\n"
             "ap-partition,PASS,x=10 q=68719476736 coprime=3 divisors=1 "
-            "total=4\n"
-            "monotonicity,PASS,counts=0;2;4;25;168\n")
+            "total=4\n")
 
     def test_dihedral_commands_reach_the_exact_bound(self, capsys):
         rc, out, _ = run(capsys, "serre", "--r-min", "2", "--r-max", "38")
@@ -584,7 +584,7 @@ class TestSerreCommand:
 
 
 # sieve-check stdout frozen from cheblab 0.8.0, which sieved once per
-# count; the points 100 and 1000 may lie past --limit.  The last three,
+# count, less the monotonicity row that 0.30.0 dropped.  The last three,
 # with a prime factor of q beyond a row of 2^20 odd integers, are frozen
 # from 0.13.0, which counted the coprime primes with numpy's gcd.
 SIEVE_CHECK_STDOUT = {
@@ -593,28 +593,24 @@ check,status,detail
 segment-independence,PASS,limit=1000000 segmentations=2097152;4096;8191
 trial-division-equivalence,PASS,x=1000000 sieve=78498 trial=78498
 ap-partition,PASS,x=1000000 q=12 coprime=78496 divisors=2 total=78498
-monotonicity,PASS,counts=0;4;25;168;41538;78498
 """,
     ("--limit", "5000000", "--q", "30"): """\
 check,status,detail
 segment-independence,PASS,limit=4194304 segmentations=2097152;4096;8191
 trial-division-equivalence,PASS,x=1000000 sieve=78498 trial=78498
 ap-partition,PASS,x=5000000 q=30 coprime=348510 divisors=3 total=348513
-monotonicity,PASS,counts=0;4;25;168;183072;348513
 """,
     ("--limit", "10", "--q", "2310"): """\
 check,status,detail
 segment-independence,PASS,limit=10 segmentations=2097152;4096;8191
 trial-division-equivalence,PASS,x=10 sieve=4 trial=4
 ap-partition,PASS,x=10 q=2310 coprime=0 divisors=4 total=4
-monotonicity,PASS,counts=0;2;4;25;168
 """,
     ("--limit", "2097153", "--q", "4"): """\
 check,status,detail
 segment-independence,PASS,limit=2097153 segmentations=2097152;4096;8191
 trial-division-equivalence,PASS,x=1000000 sieve=78498 trial=78498
 ap-partition,PASS,x=2097153 q=4 coprime=155610 divisors=1 total=155611
-monotonicity,PASS,counts=0;4;25;168;82025;155611
 """,
     ("--format", "json", "--limit", "100000", "--q", "7"): """\
 {
@@ -634,11 +630,6 @@ monotonicity,PASS,counts=0;4;25;168;82025;155611
       "check": "ap-partition",
       "status": "PASS",
       "detail": "x=100000 q=7 coprime=9591 divisors=1 total=9592"
-    },
-    {
-      "check": "monotonicity",
-      "status": "PASS",
-      "detail": "counts=0;4;25;168;5133;9592"
     }
   ]
 }
@@ -648,28 +639,24 @@ check,status,detail
 segment-independence,PASS,limit=10 segmentations=2097152;4096;8191
 trial-division-equivalence,PASS,x=10 sieve=4 trial=4
 ap-partition,PASS,x=10 q=30030 coprime=0 divisors=4 total=4
-monotonicity,PASS,counts=0;2;4;25;168
 """,
     ("--limit", "5000000", "--q", "15728745"): """\
 check,status,detail
 segment-independence,PASS,limit=4194304 segmentations=2097152;4096;8191
 trial-division-equivalence,PASS,x=1000000 sieve=78498 trial=78498
 ap-partition,PASS,x=5000000 q=15728745 coprime=348510 divisors=3 total=348513
-monotonicity,PASS,counts=0;4;25;168;183072;348513
 """,
     ("--limit", "5000000", "--q", "14680183"): """\
 check,status,detail
 segment-independence,PASS,limit=4194304 segmentations=2097152;4096;8191
 trial-division-equivalence,PASS,x=1000000 sieve=78498 trial=78498
 ap-partition,PASS,x=5000000 q=14680183 coprime=348511 divisors=2 total=348513
-monotonicity,PASS,counts=0;4;25;168;183072;348513
 """,
     ("--limit", "10", "--q", "1099509530599"): """\
 check,status,detail
 segment-independence,PASS,limit=10 segmentations=2097152;4096;8191
 trial-division-equivalence,PASS,x=10 sieve=4 trial=4
 ap-partition,PASS,x=10 q=1099509530599 coprime=4 divisors=0 total=4
-monotonicity,PASS,counts=0;2;4;25;168
 """,
 }
 
@@ -679,11 +666,27 @@ class TestSieveCheckCommand:
         rc, out, _ = run(capsys, "sieve-check", "--limit", "20000")
         assert rc == EXIT_OK
         _, rows, _ = parse_csv(out)
-        assert len(rows) == 4
+        assert len(rows) == 3
         assert all(r["status"] == "PASS" for r in rows)
         names = {r["check"] for r in rows}
         assert names == {"segment-independence", "trial-division-equivalence",
-                         "ap-partition", "monotonicity"}
+                         "ap-partition"}
+
+    @pytest.mark.parametrize("argv", [
+        (), ("--limit", "5000000", "--q", "30"),
+        ("--limit", "100000", "--q", "7")],
+        ids=["defaults", "limit-5000000", "limit-100000"])
+    def test_every_row_fails_on_random_flags(self, capsys, monkeypatch, argv):
+        # a sieve of random bits: a row that passed anyway would check
+        # nothing of the flags
+        def random_flags(lo, hi):
+            return random.Random(1).getrandbits(sieve._odds_in(lo, hi))
+
+        monkeypatch.setattr(sieve, "sieve_range", random_flags)
+        rc, out, _ = run(capsys, "sieve-check", *argv)
+        assert rc == EXIT_FAILURE
+        _, rows, _ = parse_csv(out)
+        assert [r["status"] for r in rows] == ["FAIL"] * 3
 
     @pytest.mark.parametrize("argv", list(SIEVE_CHECK_STDOUT),
                              ids=lambda argv: " ".join(argv) or "defaults")
@@ -899,7 +902,8 @@ class TestFrozenBenchStdout:
 
 
 # One run of each command in JSON, with the sha256 of each stdout as
-# cheblab 0.23.0 printed it: the JSON renderer takes its keys from the rows.
+# cheblab 0.23.0 printed it (sieve-check's as 0.30.0 prints it, without
+# the monotonicity row): the JSON renderer takes its keys from the rows.
 JSON_STDOUT_SHA256 = [
     (("dihedral", "--r-min", "2", "--r-max", "12"),
      "06d6c2734ef54d4e2633f69468355deba2684ad8b71e24fc504e73a6ce311acf"),
@@ -912,7 +916,7 @@ JSON_STDOUT_SHA256 = [
     (("serre", "--r-min", "2", "--r-max", "12"),
      "37135a90d373e0f57e06dc313732547b1bd85a651353212769911126ec53e9bf"),
     (("sieve-check", "--limit", "100000"),
-     "90cbd257ac7dac20bf455d3f4830d3acdb236e936d10663a62694e0667bc74f8"),
+     "9e9fd75f9f3a754946077c797ad5f886ad7f8080957b94255bc8dff7f0231cd4"),
 ]
 
 
