@@ -19,7 +19,7 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_IO = 4
 
-SIEVE_GUARD = 1 << 40           # refuse sieve-check charged more integers
+SIEVE_GUARD = 1 << 40           # refuse a sieve-check limit above this
 MEMORY_BUDGET = 1 << 31         # refuse cyclotomic commands holding more bytes
 
 
@@ -211,16 +211,9 @@ def _trial_prime_count(x: int) -> int:
     return len(primes) + int(x > 2)
 
 
-def _prime_factors(q: int) -> list[int]:
-    """The distinct primes dividing q, by trial division up to sqrt(q)."""
-    factors, p = [], 2
-    while p * p <= q:
-        if q % p == 0:
-            factors.append(p)
-            while q % p == 0:
-                q //= p
-        p += 1
-    return factors + [q] if q > 1 else factors
+# the wheel's primes and the first five that the strike clears, written
+# out: the check shares no code with the sieve
+_CHECK_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 
 def cmd_sieve_check(args: argparse.Namespace) -> int:
@@ -230,41 +223,39 @@ def cmd_sieve_check(args: argparse.Namespace) -> int:
         rows.append({"check": check, "status": "PASS" if ok else "FAIL",
                      "detail": detail})
 
-    # 2^21 odd integers make one piece of the whole range; narrower pieces
-    # are never cached, so all are sieved.  Piece bits start at lo // 2.
+    # 2^21 odd integers make one piece of the whole range, and narrower
+    # pieces, never cached, are always sieved: at least two of them below
+    # any cap, so a small limit is cut too.  Piece bits start at lo // 2.
     cap = min(args.limit, 1 << 22)
+    widths = (1 << 21, min(4096, cap // 4), min(8191, cap // 3))
     joined = {sum(sieve.sieve_range(lo, min(lo + 2 * odds, cap)) << lo // 2
                   for lo in range(0, cap, 2 * odds))
-              for odds in (1 << 21, 4096, 8191)}
+              for odds in widths}
     record("segment-independence", len(joined) == 1,
-           f"limit={cap} segmentations=2097152;4096;8191")
+           f"limit={cap} segmentations={_fmt(widths)}")
 
     # one walk of odd_rows(limit): trial division sees its rows as cut, so
     # a late cut shows, unless trial_cap is short of the limit and recuts
-    q, limit, row_bits = args.q, args.limit, sieve.SEGMENT_ODDS
+    limit, row_bits = args.limit, sieve.SEGMENT_ODDS
     trial_cap = min(limit, 10 ** 6)
-    total = below_cap = 1       # the prime 2: the limit is at least 10
-    factors = _prime_factors(q)
-    odd = [(p, sieve.tile(1, p)) for p in factors if p > 2]
-    shared = 0                  # the odd primes below limit that divide q
+    below_cap = 1               # the prime 2: the limit is at least 10
+    odd = [(p, sieve.tile(1, p)) for p in _CHECK_PRIMES]
+    flagged = [0] * len(odd)    # the flagged odd multiples of each p
     for k, row in enumerate(sieve.odd_rows(limit)):
-        total += row.bit_count()
         below_cap += (row if trial_cap == limit
                       else sieve.cut(row, k, trial_cap)).bit_count()
-        # the odd multiples of p lie p apart from p // 2: at most one in a
-        # row if p is wider than the row, and no shift by 2^20 or more
-        shared += sum(((row >> at) & bits).bit_count() for p, bits in odd
-                      if (at := (p // 2 - k * row_bits) % p) < row_bits)
+        # the odd multiples of p lie p apart from p // 2
+        flagged = [f + (row >> (p // 2 - k * row_bits) % p & bits).bit_count()
+                   for f, (p, bits) in zip(flagged, odd)]
 
-    want = _trial_prime_count(trial_cap)
-    record("trial-division-equivalence", below_cap == want,
-           f"x={trial_cap} sieve={below_cap} trial={want}")
+    trial = _trial_prime_count(trial_cap)
+    record("trial-division-equivalence", below_cap == trial,
+           f"x={trial_cap} sieve={below_cap} trial={trial}")
 
-    divisors = sum(1 for p in factors if p < limit)
-    coprime = total - shared - (1 - q % 2)  # and 2 < limit if q is even
-    record("ap-partition", coprime + divisors == total,
-           f"x={limit} q={q} coprime={coprime} "
-           f"divisors={divisors} total={total}")
+    # p itself is its one odd multiple that is prime
+    want = [int(p < limit) for p in _CHECK_PRIMES]
+    record("prime-multiples", flagged == want,
+           f"x={limit} primes=3..31 flagged={sum(flagged)} want={sum(want)}")
 
     code = _emit(args, rows)
     return code or (EXIT_OK if all(r["status"] == "PASS" for r in rows)
@@ -342,12 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(run=cmd_sieve_check)
     p_check.add_argument("--limit", type=int, default=10 ** 6,
                          help="the checks' bound (default 10^6)")
-    p_check.add_argument("--q", type=int, default=12,
-                         help="modulus for the progression partition "
-                              "check, which reads the flags only at odd "
-                              "multiples of q's odd prime factors below "
-                              "the limit, so it cannot fail for q = 1 or "
-                              "a power of two (default %(default)s)")
     return parser
 
 
@@ -375,31 +360,21 @@ def _validate(args: argparse.Namespace) -> Optional[str]:
         return "serre fit needs at least 2 values of r"
     if hasattr(args, "limit") and args.limit < 10:
         return "--limit must be at least 10"
-    if hasattr(args, "q") and args.q < 1:
-        return "--q must be a positive integer"
     return None
 
 
 def _resource_problem(args: argparse.Namespace) -> Optional[str]:
     """Why the command would exceed a resource guard, or None.
 
-    sieve-check is bounded by the integers it walks, the cyclotomic
+    sieve-check is bounded by the limit it walks to, the cyclotomic
     commands by the bytes they hold at r_max; the dihedral commands sieve
     nothing and are bounded by the exact primality test instead.  A wide
     r is refused from r alone, before any 2^r is built: the cyclotomic
     commands hold more than n bytes, and the dihedral ones test values
     up to n^2 (falsify) or 4n^2 (dihedral and serre).
     """
-    if args.command == "sieve-check":
-        # one walk of the segments below limit, rounded up to whole
-        # segments; q is charged for factoring it by trial division
-        q, step = args.q, sieve.SEGMENT_WIDTH
-        charge = q + -(-args.limit // step) * step
-        if charge > SIEVE_GUARD:
-            return (f"--limit {args.limit} --q {args.q} is charged "
-                    f"{charge} integers (q + limit, limit rounded up to "
-                    f"whole segments of {step}), beyond the 2^40 resource "
-                    f"guard")
+    if args.command == "sieve-check" and args.limit > SIEVE_GUARD:
+        return f"--limit {args.limit} is beyond the 2^40 resource guard"
     family, r = getattr(args, "family", args.command), getattr(args, "r_max", 0)
     if family == "cyclotomic":
         wide = r >= MEMORY_BUDGET.bit_length()

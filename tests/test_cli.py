@@ -58,7 +58,7 @@ OPTIONS = {
     "serre": SCAN | REPORT,
     "cyclotomic": SCAN | {"--alpha"} | REPORT,
     "falsify": SCAN | {"--alpha"} | TEMPLATE | REPORT | {"--family"},
-    "sieve-check": REPORT | {"--limit", "--q"},
+    "sieve-check": REPORT | {"--limit"},
 }
 
 
@@ -75,7 +75,7 @@ class TestOptionTable:
                         if s not in ("-h", "--help")}
                  for name, command in subcommands().items()}
         assert taken == OPTIONS
-        assert sum(map(len, taken.values())) == 33
+        assert sum(map(len, taken.values())) == 32
 
     @pytest.mark.parametrize("command", sorted(OPTIONS))
     def test_help_names_the_real_defaults(self, command, monkeypatch):
@@ -389,41 +389,21 @@ class TestResourceGuard:
                          for lo in range(0, math.ceil(T), step)]
 
     def test_sieve_check_guard(self, capsys):
-        rc, _, _ = run(capsys, "sieve-check", "--limit", str((1 << 40) + 1))
-        assert rc == EXIT_RESOURCE
+        rc, out, err = run(capsys, "sieve-check", "--limit", str((1 << 40) + 1))
+        assert (rc, out) == (EXIT_RESOURCE, "")
+        assert err == ("error: --limit 1099511627777 is beyond the 2^40 "
+                       "resource guard\n")
 
-    @pytest.mark.parametrize("argv", [
-        ("--q", str(1 << 39), "--limit", str((1 << 39) + 1)),
-        ("--q", str(1 << 41), "--limit", "10"),
-        ("--q", str((1 << 40) - (1 << 21) + 1), "--limit", "10"),
-    ], ids=["q-plus-limit", "q", "whole-segments"])
-    def test_sieve_check_guard_charges_the_work(self, argv, capsys,
-                                                monkeypatch):
-        # 2^39 + 2^39 + 2^21 and 2^41 both pass 2^40, though each value
-        # but 2^41 is admitted alone.  So does 2^40 - 2^21 + 1 with
-        # --limit 10: the walk sieves a whole segment of 2^21 integers,
-        # however small the limit.  The stub records a run the guard let
-        # through instead of sieving.
+    def test_sieve_check_admits_the_guard_limit(self, capsys, monkeypatch):
+        # 2^40 is exactly 2^19 segments, so the guard charges the limit
+        # alone.  The stub records a run the guard let through instead of
+        # sieving.
         ran = []
         monkeypatch.setattr(cli, "cmd_sieve_check",
-                            lambda args: ran.append(args) or EXIT_OK)
-        rc, out, err = run(capsys, "sieve-check", *argv)
-        assert rc == EXIT_RESOURCE
-        assert ran == [] and out == ""
-        assert "q + limit" in err
-
-    def test_sieve_check_admits_a_large_q(self, capsys):
-        # q is factored by trial division up to sqrt(q), not scanned
-        rc, out, _ = run(capsys, "sieve-check", "--q", str(1 << 36),
-                         "--limit", "10")
-        assert rc == EXIT_OK
-        assert out == (
-            "check,status,detail\n"
-            "segment-independence,PASS,limit=10 "
-            "segmentations=2097152;4096;8191\n"
-            "trial-division-equivalence,PASS,x=10 sieve=4 trial=4\n"
-            "ap-partition,PASS,x=10 q=68719476736 coprime=3 divisors=1 "
-            "total=4\n")
+                            lambda args: ran.append(args.limit) or EXIT_OK)
+        rc, out, err = run(capsys, "sieve-check", "--limit", str(1 << 40))
+        assert (rc, out, err) == (EXIT_OK, "", "")
+        assert ran == [1 << 40]
 
     def test_dihedral_commands_reach_the_exact_bound(self, capsys):
         rc, out, _ = run(capsys, "serre", "--r-min", "2", "--r-max", "38")
@@ -583,36 +563,47 @@ class TestSerreCommand:
         assert summary["low_confidence"] == "True"
 
 
-# sieve-check stdout frozen from cheblab 0.8.0, which sieved once per
-# count, less the monotonicity row that 0.30.0 dropped.  The last three,
-# with a prime factor of q beyond a row of 2^20 odd integers, are frozen
-# from 0.13.0, which counted the coprime primes with numpy's gcd.
+# sieve-check stdout of cheblab 0.31.0, which checks the odd multiples of
+# ten fixed primes; its two other rows are as at 0.8.0 from --limit 24573
+# on, and below it segment-independence prints the widths it cuts at.
 SIEVE_CHECK_STDOUT = {
     (): """\
 check,status,detail
 segment-independence,PASS,limit=1000000 segmentations=2097152;4096;8191
 trial-division-equivalence,PASS,x=1000000 sieve=78498 trial=78498
-ap-partition,PASS,x=1000000 q=12 coprime=78496 divisors=2 total=78498
+prime-multiples,PASS,x=1000000 primes=3..31 flagged=10 want=10
 """,
-    ("--limit", "5000000", "--q", "30"): """\
+    ("--limit", "10"): """\
 check,status,detail
-segment-independence,PASS,limit=4194304 segmentations=2097152;4096;8191
-trial-division-equivalence,PASS,x=1000000 sieve=78498 trial=78498
-ap-partition,PASS,x=5000000 q=30 coprime=348510 divisors=3 total=348513
-""",
-    ("--limit", "10", "--q", "2310"): """\
-check,status,detail
-segment-independence,PASS,limit=10 segmentations=2097152;4096;8191
+segment-independence,PASS,limit=10 segmentations=2097152;2;3
 trial-division-equivalence,PASS,x=10 sieve=4 trial=4
-ap-partition,PASS,x=10 q=2310 coprime=0 divisors=4 total=4
+prime-multiples,PASS,x=10 primes=3..31 flagged=3 want=3
 """,
-    ("--limit", "2097153", "--q", "4"): """\
+    ("--limit", "8192"): """\
+check,status,detail
+segment-independence,PASS,limit=8192 segmentations=2097152;2048;2730
+trial-division-equivalence,PASS,x=8192 sieve=1028 trial=1028
+prime-multiples,PASS,x=8192 primes=3..31 flagged=10 want=10
+""",
+    ("--limit", "24573"): """\
+check,status,detail
+segment-independence,PASS,limit=24573 segmentations=2097152;4096;8191
+trial-division-equivalence,PASS,x=24573 sieve=2725 trial=2725
+prime-multiples,PASS,x=24573 primes=3..31 flagged=10 want=10
+""",
+    ("--limit", "2097153"): """\
 check,status,detail
 segment-independence,PASS,limit=2097153 segmentations=2097152;4096;8191
 trial-division-equivalence,PASS,x=1000000 sieve=78498 trial=78498
-ap-partition,PASS,x=2097153 q=4 coprime=155610 divisors=1 total=155611
+prime-multiples,PASS,x=2097153 primes=3..31 flagged=10 want=10
 """,
-    ("--format", "json", "--limit", "100000", "--q", "7"): """\
+    ("--limit", "5000000"): """\
+check,status,detail
+segment-independence,PASS,limit=4194304 segmentations=2097152;4096;8191
+trial-division-equivalence,PASS,x=1000000 sieve=78498 trial=78498
+prime-multiples,PASS,x=5000000 primes=3..31 flagged=10 want=10
+""",
+    ("--format", "json", "--limit", "100000"): """\
 {
   "command": "sieve-check",
   "rows": [
@@ -627,36 +618,12 @@ ap-partition,PASS,x=2097153 q=4 coprime=155610 divisors=1 total=155611
       "detail": "x=100000 sieve=9592 trial=9592"
     },
     {
-      "check": "ap-partition",
+      "check": "prime-multiples",
       "status": "PASS",
-      "detail": "x=100000 q=7 coprime=9591 divisors=1 total=9592"
+      "detail": "x=100000 primes=3..31 flagged=10 want=10"
     }
   ]
 }
-""",
-    ("--limit", "10", "--q", "30030"): """\
-check,status,detail
-segment-independence,PASS,limit=10 segmentations=2097152;4096;8191
-trial-division-equivalence,PASS,x=10 sieve=4 trial=4
-ap-partition,PASS,x=10 q=30030 coprime=0 divisors=4 total=4
-""",
-    ("--limit", "5000000", "--q", "15728745"): """\
-check,status,detail
-segment-independence,PASS,limit=4194304 segmentations=2097152;4096;8191
-trial-division-equivalence,PASS,x=1000000 sieve=78498 trial=78498
-ap-partition,PASS,x=5000000 q=15728745 coprime=348510 divisors=3 total=348513
-""",
-    ("--limit", "5000000", "--q", "14680183"): """\
-check,status,detail
-segment-independence,PASS,limit=4194304 segmentations=2097152;4096;8191
-trial-division-equivalence,PASS,x=1000000 sieve=78498 trial=78498
-ap-partition,PASS,x=5000000 q=14680183 coprime=348511 divisors=2 total=348513
-""",
-    ("--limit", "10", "--q", "1099509530599"): """\
-check,status,detail
-segment-independence,PASS,limit=10 segmentations=2097152;4096;8191
-trial-division-equivalence,PASS,x=10 sieve=4 trial=4
-ap-partition,PASS,x=10 q=1099509530599 coprime=4 divisors=0 total=4
 """,
 }
 
@@ -670,23 +637,35 @@ class TestSieveCheckCommand:
         assert all(r["status"] == "PASS" for r in rows)
         names = {r["check"] for r in rows}
         assert names == {"segment-independence", "trial-division-equivalence",
-                         "ap-partition"}
+                         "prime-multiples"}
 
-    @pytest.mark.parametrize("argv", [
-        (), ("--limit", "5000000", "--q", "30"),
-        ("--limit", "100000", "--q", "7")],
-        ids=["defaults", "limit-5000000", "limit-100000"])
-    def test_every_row_fails_on_random_flags(self, capsys, monkeypatch, argv):
+    @staticmethod
+    def random_flags(lo, hi):
         # a sieve of random bits: a row that passed anyway would check
         # nothing of the flags
-        def random_flags(lo, hi):
-            return random.Random(1).getrandbits(sieve._odds_in(lo, hi))
+        return random.Random(1).getrandbits(sieve._odds_in(lo, hi))
 
-        monkeypatch.setattr(sieve, "sieve_range", random_flags)
+    @pytest.mark.parametrize("argv", [
+        (), ("--limit", "5000000"), ("--limit", "100000"),
+        ("--limit", "8192")],
+        ids=["defaults", "limit-5000000", "limit-100000", "limit-8192"])
+    def test_every_row_fails_on_random_flags(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(sieve, "sieve_range", self.random_flags)
         rc, out, _ = run(capsys, "sieve-check", *argv)
         assert rc == EXIT_FAILURE
         _, rows, _ = parse_csv(out)
         assert [r["status"] for r in rows] == ["FAIL"] * 3
+
+    def test_smallest_limit_fails_on_random_flags(self, capsys, monkeypatch):
+        # at --limit 10 the random bits happen to hold four primes, so
+        # trial division may pass; the pieces and the multiples of 7 fail
+        monkeypatch.setattr(sieve, "sieve_range", self.random_flags)
+        rc, out, _ = run(capsys, "sieve-check", "--limit", "10")
+        assert rc == EXIT_FAILURE
+        _, rows, _ = parse_csv(out)
+        status = {r["check"]: r["status"] for r in rows}
+        assert status["segment-independence"] == "FAIL"
+        assert status["prime-multiples"] == "FAIL"
 
     @pytest.mark.parametrize("argv", list(SIEVE_CHECK_STDOUT),
                              ids=lambda argv: " ".join(argv) or "defaults")
@@ -706,8 +685,7 @@ class TestSieveCheckCommand:
             return sieve_range(lo, hi)
 
         monkeypatch.setattr(sieve, "sieve_range", counted)
-        rc, _, _ = run(capsys, "sieve-check", "--limit", "5000000",
-                       "--q", "30")
+        rc, _, _ = run(capsys, "sieve-check", "--limit", "5000000")
         assert rc == EXIT_OK
         step = sieve.SEGMENT_WIDTH
         aligned = [(lo, hi) for lo, hi in calls
@@ -721,19 +699,19 @@ class TestSieveCheckCommand:
         cut = sieve.cut
         monkeypatch.setattr(cli, "sieve", types.SimpleNamespace(**vars(sieve)))
         monkeypatch.setattr(sieve, "cut", lambda row, k, x: cut(row, k, x + 2))
-        rc, out, _ = run(capsys, "sieve-check", "--limit", "100002",
-                         "--q", "7")
+        rc, out, _ = run(capsys, "sieve-check", "--limit", "100002")
         assert rc == EXIT_FAILURE
         assert ("trial-division-equivalence,FAIL,x=100002 sieve=9593 "
                 "trial=9592") in out.splitlines()
 
-    @pytest.mark.parametrize("composite, q, limit", [
-        (9, 3, 20000), (3 * 1048583, 1048583, 5000000)],
-        ids=["small-factor", "factor-beyond-a-row"])
-    def test_composite_multiple_fails_ap_partition(self, capsys, monkeypatch,
-                                                   composite, q, limit):
-        # a sieve that marks one odd multiple of q's factor prime: the
-        # popcount over the factor's multiples must count it
+    @pytest.mark.parametrize("composite, limit", [
+        (9, 20000), (3 * 1048583, 5000000), (17 * 1048583, 20000000)],
+        ids=["small-factor", "factor-beyond-a-row", "struck-beyond-2^22"])
+    def test_composite_fails_prime_multiples(self, capsys, monkeypatch,
+                                             composite, limit):
+        # a sieve that marks one odd multiple of 3 or 17 prime: the
+        # popcount over that prime's multiples must count it, also in a
+        # segment that neither segment-independence nor trial division reads
         strike = sieve._odd_bytes
 
         def faulty(lo, hi):
@@ -744,12 +722,11 @@ class TestSieveCheckCommand:
             return row
 
         monkeypatch.setattr(sieve, "_odd_bytes", faulty)
-        rc, out, _ = run(capsys, "sieve-check", "--limit", str(limit),
-                         "--q", str(q))
+        rc, out, _ = run(capsys, "sieve-check", "--limit", str(limit))
         assert rc == EXIT_FAILURE
         _, rows, _ = parse_csv(out)
         status = {r["check"]: r["status"] for r in rows}
-        assert status["ap-partition"] == "FAIL"
+        assert status["prime-multiples"] == "FAIL"
 
     def test_pieces_are_sieved_under_a_cache(self, capsys, monkeypatch,
                                              tmp_path):
@@ -902,8 +879,8 @@ class TestFrozenBenchStdout:
 
 
 # One run of each command in JSON, with the sha256 of each stdout as
-# cheblab 0.23.0 printed it (sieve-check's as 0.30.0 prints it, without
-# the monotonicity row): the JSON renderer takes its keys from the rows.
+# cheblab 0.23.0 printed it (sieve-check's as 0.31.0 prints it, with the
+# prime-multiples row): the JSON renderer takes its keys from the rows.
 JSON_STDOUT_SHA256 = [
     (("dihedral", "--r-min", "2", "--r-max", "12"),
      "06d6c2734ef54d4e2633f69468355deba2684ad8b71e24fc504e73a6ce311acf"),
@@ -916,7 +893,7 @@ JSON_STDOUT_SHA256 = [
     (("serre", "--r-min", "2", "--r-max", "12"),
      "37135a90d373e0f57e06dc313732547b1bd85a651353212769911126ec53e9bf"),
     (("sieve-check", "--limit", "100000"),
-     "9e9fd75f9f3a754946077c797ad5f886ad7f8080957b94255bc8dff7f0231cd4"),
+     "4d609d2d30312b038a629ebb1f3d12a8449acdb4bc0c2b9eb0f0afa17d807673"),
 ]
 
 
@@ -1078,7 +1055,7 @@ class TestWithoutNumpy:
         assert bare.returncode == 0, bare.stderr
         assert bare.stdout == normal.stdout
 
-    @pytest.mark.parametrize("argv", [(), ("--limit", "5000000", "--q", "30")],
+    @pytest.mark.parametrize("argv", [(), ("--limit", "5000000")],
                              ids=["defaults", "limit-5000000"])
     def test_sieve_check(self, argv):
         proc = self.python("-c", BLOCK_NUMPY + "from cheblab.cli import main; "

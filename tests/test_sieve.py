@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import hashlib
 import io
@@ -257,26 +256,15 @@ class TestPrimeCount:
             sieve.prime_count(2 ** 64)
 
 
-def sieve_check(limit: int, q: int) -> dict:
-    """The detail fields of each sieve-check row at --limit and --q."""
+def sieve_check(limit: int) -> dict:
+    """The detail fields of each sieve-check row at --limit."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        rc = cli.main(["sieve-check", "--limit", str(limit), "--q", str(q)])
+        rc = cli.main(["sieve-check", "--limit", str(limit)])
     assert rc == cli.EXIT_OK, out.getvalue()
     rows = (line.split(",") for line in out.getvalue().splitlines()[1:])
     return {check: dict(field.split("=") for field in detail.split())
             for check, _, detail in rows}
-
-
-def ap_fields(primes: list[int], limit: int, q: int) -> dict:
-    """The ap-partition fields sieve-check should print, from primes."""
-    below = primes[:bisect.bisect_left(primes, limit)]
-    return {
-        "x": str(limit), "q": str(q),
-        "coprime": str(sum(1 for p in below if math.gcd(p, q) == 1)),
-        "divisors": str(sum(1 for p in below if q % p == 0)),
-        "total": str(len(below)),
-    }
 
 
 @pytest.fixture(scope="module")
@@ -284,46 +272,31 @@ def primes_below_3e4() -> list[int]:
     return oracles.trial_primes_below(3 * 10 ** 4)
 
 
-class TestPrimesInAP:
-    """Prime counts in the progressions mod q, as sieve-check's
-    ap-partition makes them from one walk of the sieve, against trial
+class TestPrimeMultiples:
+    """sieve-check's prime-multiples row, which counts the flagged odd
+    multiples of the primes 3..31 in one walk of the sieve, against trial
     division."""
 
-    def test_examples(self):
-        assert sieve_check(10, 4)["ap-partition"] == {
-            "x": "10", "q": "4", "coprime": "3", "divisors": "1",
-            "total": "4"}             # 3, 5, 7 and the divisor 2
-        assert sieve_check(10, 15)["ap-partition"]["divisors"] == "2"
-
-    def test_counts_two(self):
-        # 2 is the only prime dividing q = 2; q = 1 has no prime divisor
-        assert sieve_check(10, 2)["ap-partition"] == {
-            "x": "10", "q": "2", "coprime": "3", "divisors": "1",
-            "total": "4"}
-        assert sieve_check(10, 1)["ap-partition"] == {
-            "x": "10", "q": "1", "coprime": "4", "divisors": "0",
-            "total": "4"}
-
-    @pytest.mark.parametrize("q", [3, 4, 5, 8, 12])
-    @pytest.mark.parametrize("x", [100, 10 ** 4])
-    def test_partition(self, q, x, primes_below_3e4):
-        want = ap_fields(primes_below_3e4, x, q)
-        assert sieve_check(x, q)["ap-partition"] == want
-        assert int(want["coprime"]) + int(want["divisors"]) \
-            == int(want["total"])
-
-    @given(st.integers(10, 3 * 10 ** 4), st.integers(1, 60))
-    @example(10, 1)
-    @example(10, 60)
-    @example(1000, 997)
+    @given(st.integers(10, 3 * 10 ** 4))
+    @example(10)
+    @example(31)
+    @example(32)
     @settings(max_examples=30, deadline=None)
-    def test_matches_enumeration(self, primes_below_3e4, limit, q):
-        fields = sieve_check(limit, q)
-        assert fields["ap-partition"] == ap_fields(primes_below_3e4, limit, q)
+    def test_matches_enumeration(self, primes_below_3e4, limit):
+        checked = oracles.trial_primes_below(32)[1:]
+        below = [p for p in primes_below_3e4 if p < limit]
+        assert sieve_check(limit)["prime-multiples"] == {
+            "x": str(limit), "primes": "3..31",
+            "flagged": str(sum(1 for m in below
+                               if any(m % p == 0 for p in checked))),
+            "want": str(sum(1 for p in checked if p < limit)),
+        }
 
     def test_validation(self, capsys):
-        for argv in (("--q", "0"), ("--q", "-1"), ("--limit", "9")):
-            assert cli.main(["sieve-check", *argv]) == cli.EXIT_USAGE
+        assert cli.main(["sieve-check", "--limit", "9"]) == cli.EXIT_USAGE
+        with pytest.raises(SystemExit) as exc:     # no modulus to pick
+            cli.main(["sieve-check", "--q", "12"])
+        assert exc.value.code == cli.EXIT_USAGE
         capsys.readouterr()
 
 
